@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..config import ScalarConfig
-from ..errors import SimulationError
+from ..errors import CycleBudgetExceeded, SimulationError
 from ..isa import ALU_FUNCS, ALU_OPS, Imm, Op, Program, Reg, SCALAR_OPS
 from ..isa.operands import NUM_REGS
 from ..memory import BankedMemory, DataCache, MainMemory
@@ -240,7 +240,7 @@ class ScalarMachine:
         """Run to HALT; returns the collected statistics."""
         while not self.halted:
             if self.cycle >= max_cycles:
-                raise SimulationError(f"exceeded cycle budget {max_cycles}")
+                raise CycleBudgetExceeded(f"exceeded cycle budget {max_cycles}")
             if self.pc >= len(self.program):
                 raise SimulationError(
                     f"ran off the end of program {self.program.name!r}"

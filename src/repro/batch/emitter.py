@@ -52,7 +52,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from ..errors import SimulationError
+from ..errors import CycleBudgetExceeded, SimulationError
 from ..isa import Op
 from . import decode as D
 
@@ -110,6 +110,7 @@ def runtime_namespace() -> dict:
     return {
         "np": np,
         "SimulationError": SimulationError,
+        "CycleBudgetExceeded": CycleBudgetExceeded,
         "_BIG": _BIG,
         "_div": _div,
         "_mod": _mod,
@@ -1103,7 +1104,7 @@ class LaneLoopEmitter:
                         w("_ost = outst[~done]")
             with w.block("if live.size:"):
                 with w.block("if np.any(now[live] >= max_cycles):"):
-                    w("raise SimulationError("
+                    w("raise CycleBudgetExceeded("
                       "f\"exceeded cycle budget {max_cycles}\")")
                 w("_pg = _pr if live is ix else progress[live]")
                 if self.has_pend:

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..config import SMAConfig
-from ..errors import SimulationError
+from ..errors import CycleBudgetExceeded, SimulationError
 from ..isa import Op, Program
 from . import decode as D
 
@@ -953,7 +953,7 @@ class LaneEngine:
             if live.size == 0:
                 continue
             if np.any(self.now[live] >= max_cycles):
-                raise SimulationError(
+                raise CycleBudgetExceeded(
                     f"exceeded cycle budget {max_cycles}"
                 )
 

@@ -1879,7 +1879,7 @@ class MachineLoopEmitter(BaseEmitter):
             self.w("now = cyc")
             with self.block("if now >= max_cycles:"):
                 self.w(
-                    'raise SimulationError('
+                    'raise CycleBudgetExceeded('
                     '"exceeded cycle budget %s" % (max_cycles,))'
                 )
             if self.uses_memory:

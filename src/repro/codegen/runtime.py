@@ -23,7 +23,12 @@ from collections import deque
 from functools import partial
 from heapq import heappop, heappush
 
-from ..errors import MemoryError_, QueueError, SimulationError
+from ..errors import (
+    CycleBudgetExceeded,
+    MemoryError_,
+    QueueError,
+    SimulationError,
+)
 from ..isa.opcodes import _div, _mod
 from ..queues.operand_queue import _Slot
 
@@ -37,6 +42,7 @@ def runtime_namespace() -> dict:
         "partial": partial,
         "_Slot": _Slot,
         "SimulationError": SimulationError,
+        "CycleBudgetExceeded": CycleBudgetExceeded,
         "MemoryError_": MemoryError_,
         "QueueError": QueueError,
         # ALU semantics shared with the interpreters (repro.isa.opcodes)

@@ -14,36 +14,39 @@ disjoint address ranges — the runner lays each kernel out in its own
 region — so no coherence protocol is needed; the contention being studied
 is bandwidth, not sharing.
 
-**Cluster cycle fast-forward.**  The latency-dominated regime that makes
+**Cluster event-horizon loop.**  The latency-dominated regime that makes
 single-machine fast-forward pay off (see :mod:`repro.core.machine`) is
 *worse* in a cluster: contention stretches every memory round-trip, so a
 larger fraction of cycles are jointly idle — every node stalled on a
-pending completion.  ``run`` detects joint idleness the same way the
-machine does (two consecutive cycles in which no node retired an
-instruction, issued a request or committed a store, and no completion
-fired), then jumps the shared clock to ``banked.next_event_time`` and
-replays each still-running node's skipped-cycle statistics in closed form
-through the node's own ``stall_snapshot``/``replay_stall_cycles`` pair —
-the same replay contract ``SMAMachine._run`` honors, which never touches
-the memory model, so a non-owning node replays exactly like a standalone
-machine.  Finished nodes are frozen (naive ticking does not step them
-either), and the shared memory needs no replay of its own: a jointly-idle
-cycle issues no accesses, so bank-free times and port counters are static
-until the next completion.  Everything stays bit-identical to naive
-ticking (property-tested in ``tests/test_cluster_fast_forward.py``),
-including per-node metrics buckets — ``attach_metrics`` works in cluster
-mode because the node classifiers replay in closed form just as they do
-standalone.
+pending completion.  The default loop (:meth:`SMACluster.
+_run_event_horizon`) drives the nodes exactly like a standalone
+event-horizon run: each node steps through the decode-cached
+``tick_fast``/``step_fast`` twins, keeps its queue-occupancy statistics
+by lazy (event-driven) accounting on its own clock — stopped at that
+node's own finish cycle, so early finishers are not over-sampled — and,
+once the cluster horizon (the minimum over the running nodes'
+``next_event_time`` contracts) confirms that nothing can move, the shared
+clock jumps and every running node replays the skipped span in closed
+form through ``_replay_fast``.  Finished nodes are frozen (naive ticking
+does not step them either), and the shared memory needs no replay of its
+own: a jointly-idle cycle issues no accesses, so bank-free times and port
+counters are static until the next completion.  Everything stays
+bit-identical to naive ticking (property-tested in
+``tests/test_cluster_fast_forward.py``), including per-node metrics
+buckets — ``attach_metrics`` works in cluster mode because the node
+classifiers replay in closed form just as they do standalone.
 
 Used by experiment R-F8 (`bench_fig8_multiprocessor.py`).
 """
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from ..config import SMAConfig
-from ..errors import SimulationError
+from ..errors import CycleBudgetExceeded, SimulationError
 from ..isa import Program
 from ..memory import BankedMemory, MainMemory
 from . import machine as machine_mod
@@ -135,19 +138,16 @@ class SMACluster:
     def done(self) -> bool:
         return all(n.done() for n in self.nodes) and self.banked.quiescent()
 
-    def _step_all(self, steppers: list | None = None) -> None:
-        """Simulate one cluster cycle: memory tick, then every running
-        node, in an order that rotates with the cycle number.
+    def _step_all(self) -> None:
+        """Simulate one cluster cycle on the reference path: memory tick,
+        then every running node's ``step_cycle(tick_memory=False)``, in
+        an order that rotates with the cycle number.
 
         A node whose ``done()`` flips during (or before) its step is
         recorded in ``finish_cycles`` *immediately* at the current cycle.
         (The old code deferred recording to the node's next visit, one
         cycle late under naive ticking and a whole jump late under
         fast-forward.)
-
-        ``steppers``, when given, holds one compiled per-node step
-        function (or ``None``) per node — the codegen scheduler's
-        specialized replacement for ``step_cycle(tick_memory=False)``.
         """
         now = self.cycle
         self.banked.tick(now)
@@ -166,11 +166,7 @@ class SMACluster:
                     self.finish_cycles[index] = now
                 continue
             node.cycle = now
-            fn = steppers[index] if steppers is not None else None
-            if fn is not None:
-                fn(node, now)
-            else:
-                node.step_cycle(tick_memory=False)
+            node.step_cycle(tick_memory=False)
             if self.finish_cycles[index] is None and node.done():
                 self.finish_cycles[index] = node.cycle
         self.cycle = now + 1
@@ -179,11 +175,11 @@ class SMACluster:
         """Per-node compiled step functions for the codegen scheduler.
 
         Entries are ``None`` for nodes the emitter cannot specialize
-        (those fall back to the interpreted ``step_cycle``); the whole
-        list is ``None`` — reverting the run to the event-horizon
-        template stepping — when a memory observer is attached, because
-        generated bodies read the functional store directly and would
-        bypass the observer hook.
+        (those fall back to the interpreted fast step); the whole list is
+        ``None`` — reverting the run to plain event-horizon stepping —
+        when a memory observer is attached, because generated bodies read
+        the functional store directly and would bypass the observer
+        hook.
         """
         if self.memory.observer is not None:
             return None
@@ -193,13 +189,20 @@ class SMACluster:
         return [art.fn if art is not None else None for art in steppers]
 
     def step_cycles(self, count: int) -> int:
-        """Step up to ``count`` cluster cycles (stopping early when every
-        node is done); returns the number actually simulated."""
-        stepped = 0
-        while stepped < count and not self.done():
-            self._step_all()
-            stepped += 1
-        return stepped
+        """Advance up to ``count`` cluster cycles, stopping early when
+        the cluster is done; returns the number of cycles advanced.
+
+        Same contract as :meth:`SMAMachine.step_cycles`: the loop
+        :meth:`run` would pick, stopped at exactly ``cycle + count``, so
+        the state reached is bit-identical to naive ticking.  A budget
+        stop leaves running nodes without a finish cycle (``run`` only
+        fills the gaps once every node is done)."""
+        start = self.cycle
+        try:
+            self.run(max_cycles=start + count)
+        except CycleBudgetExceeded:
+            pass
+        return self.cycle - start
 
     # -- checkpoint / restore --------------------------------------------
 
@@ -303,45 +306,120 @@ class SMACluster:
         self, max_cycles: int, deadlock_window: int,
         steppers: list | None = None,
     ) -> None:
-        """Contract-driven cluster loop, subsuming the two-consecutive-
-        idle-cycle heuristic of :meth:`_run_joint_idle`.
+        """Contract-driven cluster loop on the fast step paths.
 
-        Each iteration asks the cluster horizon whether anything can move
-        before ``now + 2``; if not, it snapshots every running node,
-        steps one live template cycle, confirms joint idleness with the
-        progress tuple, recomputes the horizon from the post-template
-        stall causes (pre-step flags can be stale) and replays the
-        skipped span through every running node's
-        ``replay_stall_cycles`` — the same replay contract the
-        single-machine loops honor, so everything stays bit-identical to
-        naive ticking.  Nodes step through their reference
-        ``step_cycle`` path (per-cycle queue sampling): the cluster's
-        win is jump *eligibility* — one idle cycle instead of two, and
-        contract-verified rather than inferred — not per-cycle cost.
-        The codegen scheduler reuses this loop with ``steppers`` — each
-        node's compiled program-specialized step function — attacking
-        exactly that per-cycle cost while inheriting the jump logic.
+        Every node without a compiled stepper runs under its own
+        :meth:`SMAMachine.lazy_occupancy` bracket and steps through
+        :func:`_fast_node_step`; its jumps replay through
+        ``_replay_fast``.  The codegen scheduler passes ``steppers`` —
+        each node's compiled program-specialized step function, which
+        samples its queues every cycle — and such nodes replay through
+        ``replay_stall_cycles`` instead.  Each bracket flushes up to its
+        node's own cycle, which stops at the node's finish cycle.
         """
-        last_state: tuple = ()
+        nodes = self.nodes
+        if steppers is None:
+            steppers = [None] * len(nodes)
+        steps = []
+        replays = []
+        with ExitStack() as brackets:
+            for node, fn in zip(nodes, steppers):
+                if fn is None:
+                    clock, _agg = brackets.enter_context(
+                        node.lazy_occupancy()
+                    )
+                    steps.append(_fast_node_step(node, clock))
+                    replays.append(node._replay_fast)
+                else:
+                    steps.append(partial(fn, node))
+                    replays.append(node.replay_stall_cycles)
+            self._event_horizon_loop(
+                max_cycles, deadlock_window, steps, replays
+            )
+
+    def _event_horizon_loop(
+        self, max_cycles: int, deadlock_window: int, steps, replays
+    ) -> None:
+        """The cluster cycle of :meth:`_step_all` with per-node
+        ``steps[i](now)`` in place of ``step_cycle``, plus contract-driven
+        jumps.
+
+        A jump is only *planned* when every running node has both
+        processors halted or stalled and the cluster horizon lies beyond
+        ``now + 1``; it is only *taken* after one live template cycle
+        confirms that nothing moved, and the horizon is then recomputed
+        from the post-template stall causes (pre-step flags can be stale),
+        so a contract miss downgrades to a skipped jump, never a wrong
+        one.  Progress is probed as one sum of monotone counters (node
+        retirements, requests, stores and memory traffic), which changes
+        exactly when the :meth:`_progress_state` tuple would.
+        """
+        nodes = self.nodes
+        n = len(nodes)
+        banked = self.banked
+        comps = banked._completions
+        mstats = banked.stats
+        finish = self.finish_cycles
+        procs = [(node.ap, node.ep) for node in nodes]
+        counters = [
+            (node.ap.stats, node.ep.stats, node.engine.stats,
+             node.store_unit.stats)
+            for node in nodes
+        ]
+        live = [not node.done() for node in nodes]
+        running = sum(live)
         last_progress = 0
-        while not self.done():
+        p_total = -1
+        while running or comps:
             now = self.cycle
             if now >= max_cycles:
-                raise SimulationError(
+                raise CycleBudgetExceeded(
                     f"exceeded cycle budget {max_cycles}"
                 )
             snapshots = None
-            t = self.next_event_time(now)
-            if t is None or t > now + 1:
-                snapshots = [
-                    (node, node.stall_snapshot())
-                    for node in self.nodes
-                    if not node.done()
-                ]
-            self._step_all(steppers)
-            state = self._progress_state()
-            if state != last_state:
-                last_state = state
+            for i in range(n):
+                if live[i]:
+                    ap, ep = procs[i]
+                    if not (
+                        (ap.halted or ap._stalled_on is not None)
+                        and (ep.halted or ep._stalled_on is not None)
+                    ):
+                        break
+            else:
+                t = self.next_event_time(now)
+                if t is None or t > now + 1:
+                    snapshots = [
+                        (i, nodes[i].stall_snapshot())
+                        for i in range(n) if live[i]
+                    ]
+            banked.tick(now)
+            # rotating service order, exactly as in _step_all
+            rotation = now % n
+            for offset in range(n):
+                i = (rotation + offset) % n
+                if not live[i]:
+                    continue
+                node = nodes[i]
+                if not node.done():
+                    steps[i](now)
+                    if not node.done():
+                        continue
+                    if finish[i] is None:
+                        finish[i] = node.cycle
+                elif finish[i] is None:
+                    # finished via this cycle's memory tick
+                    finish[i] = now
+                live[i] = False
+                running -= 1
+            self.cycle = now + 1
+            total = mstats.reads + mstats.writes
+            for ap_s, ep_s, engine_s, su_s in counters:
+                total += (
+                    ap_s.instructions + ep_s.instructions
+                    + engine_s.requests_issued + su_s.stores_issued
+                )
+            if total != p_total:
+                p_total = total
                 last_progress = self.cycle
                 continue
             if snapshots is not None:
@@ -353,8 +431,9 @@ class SMACluster:
                     target = max_cycles
                 count = target - self.cycle
                 if count > 0:
-                    for node, snapshot in snapshots:
-                        node.replay_stall_cycles(snapshot, count)
+                    for i, snapshot in snapshots:
+                        if live[i]:
+                            replays[i](snapshot, count)
                     self.cycle += count
             if self.cycle - last_progress > deadlock_window:
                 raise SimulationError(
@@ -376,7 +455,9 @@ class SMACluster:
         prev_idle = False  # previous cycle was jointly idle
         while not self.done():
             if self.cycle >= max_cycles:
-                raise SimulationError(f"exceeded cycle budget {max_cycles}")
+                raise CycleBudgetExceeded(
+                    f"exceeded cycle budget {max_cycles}"
+                )
             if prev_idle and fast_forward:
                 # every node is in a steady stall: simulate one more
                 # cycle as the per-node replay template, then jump the
@@ -460,3 +541,37 @@ class SMACluster:
             f"node{i}: {n.deadlock_report()}"
             for i, n in enumerate(self.nodes)
         )
+
+
+def _fast_node_step(node: SMAMachine, clock: list[int]):
+    """Return ``step(now)``: ``node.step_cycle(tick_memory=False)`` built
+    from the event-horizon ``tick_fast``/``step_fast`` twins, with queue
+    occupancy accounted lazily against ``clock`` (the node's
+    :meth:`SMAMachine.lazy_occupancy` cell) instead of sampled."""
+    ap = node.ap
+    ep = node.ep
+    ap_step = ap.step_fast
+    ep_step = ep.step_fast
+    su_tick = node.store_unit.tick_fast
+    engine_tick = node.engine.tick_fast
+    saq_slots = node.queues.store_addr._slots
+    engine_streams = node.engine._streams
+    metrics = node._metrics
+
+    def step(now: int) -> None:
+        clock[0] = now
+        # each fast step begins with the same emptiness/halt check;
+        # doing it here skips the call entirely on quiet components
+        if saq_slots:
+            su_tick(now)
+        if engine_streams:
+            engine_tick(now)
+        if not ap.halted:
+            ap_step(now)
+        if not ep.halted:
+            ep_step(now)
+        if metrics is not None:
+            metrics.on_cycle(node, now)
+        node.cycle = now + 1
+
+    return step

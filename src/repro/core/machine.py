@@ -41,11 +41,12 @@ ticking (property-tested in ``tests/test_metrics.py``).
 from __future__ import annotations
 
 import heapq
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any
 
 from ..config import SMAConfig
-from ..errors import SimulationError
+from ..errors import CycleBudgetExceeded, SimulationError
 from ..isa import Program
 from ..memory import BankedMemory, MainMemory
 from ..queues import QueueFile
@@ -261,9 +262,6 @@ class SMAMachine:
             and (self._spec is None or self._spec.idle())
         )
 
-    # kept for any external callers of the old private name
-    _done = done
-
     def step_cycle(self, tick_memory: bool = True) -> None:
         """Advance the machine by one cycle.
 
@@ -315,14 +313,23 @@ class SMAMachine:
         self.ap._spec = self._spec
 
     def step_cycles(self, count: int) -> int:
-        """Step up to ``count`` cycles (stopping early at completion);
-        returns the number actually simulated.  Convenience for taking
-        mid-run checkpoints at a known cycle."""
-        stepped = 0
-        while stepped < count and not self.done():
-            self.step_cycle()
-            stepped += 1
-        return stepped
+        """Advance up to ``count`` cycles, stopping early at completion;
+        returns the number of cycles advanced.  Used for mid-run
+        checkpoints and the service's bounded slices.
+
+        Runs the loop :meth:`run` would pick (faults and speculation
+        still downgrade to naive ticking) with the budget set to exactly
+        ``cycle + count``: jumps are clamped to the budget and the lazy
+        occupancy bracket flushes on the way out, so the state reached is
+        bit-identical to ``count`` naive :meth:`step_cycle` calls.  The
+        deadlock watchdog is armed as in :meth:`run`, counting from the
+        first cycle of this call."""
+        start = self.cycle
+        try:
+            self.run(max_cycles=start + count)
+        except CycleBudgetExceeded:
+            pass
+        return self.cycle - start
 
     # -- checkpoint / restore --------------------------------------------
 
@@ -524,14 +531,14 @@ class SMAMachine:
         prev_idle = False  # previous cycle was fully idle (steady stall)
         while not done():
             if self.cycle >= max_cycles:
-                raise SimulationError(
+                raise CycleBudgetExceeded(
                     f"exceeded cycle budget {max_cycles}"
                 )
             if prev_idle and fast_forward:
                 # the machine is in a steady stall: simulate one more
                 # cycle as the replay template, then jump to the next
                 # memory event
-                snapshot = self._stall_snapshot()
+                snapshot = self.stall_snapshot()
                 pending_before = banked.pending_completions
                 step()
                 if (
@@ -553,7 +560,7 @@ class SMAMachine:
                         target = horizon
                     skipped = target - self.cycle
                     if skipped > 0:
-                        self._replay_stall_cycles(snapshot, skipped)
+                        self.replay_stall_cycles(snapshot, skipped)
                     if self.cycle - last_progress_cycle > deadlock_window:
                         raise SimulationError(
                             "deadlock: no forward progress for "
@@ -605,7 +612,7 @@ class SMAMachine:
         p_ap = p_ep = p_req = p_st = p_mem = -1
         while not self.done():
             if self.cycle >= max_cycles:
-                raise SimulationError(
+                raise CycleBudgetExceeded(
                     f"exceeded cycle budget {max_cycles}"
                 )
             self.step_cycle()
@@ -629,9 +636,6 @@ class SMAMachine:
                 )
         return self.collect_result()
 
-    # kept for any external callers of the old private name
-    _run = _run_joint_idle
-
     # -- event-horizon scheduling ----------------------------------------
 
     def next_event_time(self, now: int) -> int | None:
@@ -654,27 +658,26 @@ class SMAMachine:
                 best = t
         return best
 
-    def _run_event_horizon(
-        self, max_cycles: int, deadlock_window: int, observer
-    ) -> SMAResult:
-        """The event-horizon simulation loop (see module docstring).
+    @contextmanager
+    def lazy_occupancy(self):
+        """Bracket a fast loop with lazy (event-driven) queue-occupancy
+        accounting; yields ``(clock, agg)``.
 
-        Queue-occupancy statistics switch to lazy (event-driven)
-        accounting for the duration: occupancies change only on
-        reserve/pop, so each mutation flushes the elapsed span at the
-        stable length instead of every cycle sampling every queue —
-        bit-identical totals at a fraction of the bookkeeping cost.  The
-        ``finally`` re-syncs the queues and folds the load-queue
-        aggregate into the machine-level occupancy counters.
+        Occupancies change only on reserve/pop, so each mutation flushes
+        the elapsed span at the stable length instead of every cycle
+        sampling every queue — bit-identical totals at a fraction of the
+        bookkeeping cost.  The driver sets ``clock[0]`` to the current
+        cycle before stepping this machine.  On exit (errors included)
+        the queues are flushed up to ``self.cycle`` and the load-queue
+        aggregate is folded into the machine-level occupancy counters, so
+        a cluster node's accounting stops at its own finish cycle.
         """
         clock = [self.cycle]
         load_queues = self.queues.load
         occ_before = [q.stats.occupancy_sum for q in load_queues]
         agg = self.queues.begin_lazy_sampling(clock)
         try:
-            self._event_horizon_loop(
-                max_cycles, deadlock_window, clock, observer
-            )
+            yield clock, agg
         finally:
             clock[0] = self.cycle
             self.queues.end_lazy_sampling(agg)
@@ -684,6 +687,16 @@ class SMAMachine:
             )
             if agg.max_seen > self._occupancy_max:
                 self._occupancy_max = agg.max_seen
+
+    def _run_event_horizon(
+        self, max_cycles: int, deadlock_window: int, observer
+    ) -> SMAResult:
+        """The event-horizon simulation loop (see module docstring),
+        under lazy occupancy accounting (:meth:`lazy_occupancy`)."""
+        with self.lazy_occupancy() as (clock, _agg):
+            self._event_horizon_loop(
+                max_cycles, deadlock_window, clock, observer
+            )
         return self.collect_result()
 
     def _event_horizon_loop(
@@ -740,7 +753,7 @@ class SMAMachine:
         ):
             now = self.cycle
             if now >= max_cycles:
-                raise SimulationError(
+                raise CycleBudgetExceeded(
                     f"exceeded cycle budget {max_cycles}"
                 )
             clock[0] = now
@@ -845,78 +858,23 @@ class SMAMachine:
             artifact = compiled_loop_for(self)
         if artifact is None:
             return self._run_event_horizon(max_cycles, deadlock_window, None)
-        # identical lazy-occupancy bracket to _run_event_horizon: the
-        # generated loop mutates queues with inlined flush bodies against
-        # the same clock cell and load-queue aggregate
-        clock = [self.cycle]
-        load_queues = self.queues.load
-        occ_before = [q.stats.occupancy_sum for q in load_queues]
-        agg = self.queues.begin_lazy_sampling(clock)
-        try:
+        # the generated loop mutates queues with inlined flush bodies
+        # against the bracket's clock cell and load-queue aggregate
+        with self.lazy_occupancy() as (clock, agg):
             artifact.fn(self, max_cycles, deadlock_window, clock, agg)
-        finally:
-            clock[0] = self.cycle
-            self.queues.end_lazy_sampling(agg)
-            self._occupancy_sum += sum(
-                q.stats.occupancy_sum - before
-                for q, before in zip(load_queues, occ_before)
-            )
-            if agg.max_seen > self._occupancy_max:
-                self._occupancy_max = agg.max_seen
         return self.collect_result()
-
-    def _replay_fast(self, snapshot, count: int) -> None:
-        """Closed-form replay for the event-horizon loop: identical to
-        :meth:`replay_stall_cycles` minus the per-queue occupancy
-        sampling, which the lazy accounting installed by
-        ``QueueFile.begin_lazy_sampling`` already covers by span (queue
-        contents do not change across a confirmed-idle span, so the next
-        flush attributes every skipped cycle at the correct length)."""
-        ap_before, lod_before, ep_before, blocked_before, \
-            dwait_before, mwait_before, queues_before = snapshot
-        ap = self.ap.stats
-        for cause, value in ap.stall_cycles.items():
-            delta = value - ap_before.get(cause, 0)
-            if delta:
-                ap.stall_cycles[cause] = value + delta * count
-        ap.lod_events += (ap.lod_events - lod_before) * count
-        ep = self.ep.stats
-        for cause, value in ep.stall_cycles.items():
-            delta = value - ep_before.get(cause, 0)
-            if delta:
-                ep.stall_cycles[cause] = value + delta * count
-        engine_stats = self.engine.stats
-        engine_stats.blocked_cycles += (
-            engine_stats.blocked_cycles - blocked_before
-        ) * count
-        su = self.store_unit.stats
-        su.data_wait_cycles += (su.data_wait_cycles - dwait_before) * count
-        su.memory_wait_cycles += (
-            su.memory_wait_cycles - mwait_before
-        ) * count
-        for queue, (empty_before, full_before) in zip(
-            self._queue_list, queues_before
-        ):
-            stats = queue.stats
-            delta = stats.empty_stalls - empty_before
-            if delta:
-                stats.empty_stalls += delta * count
-            delta = stats.full_stalls - full_before
-            if delta:
-                stats.full_stalls += delta * count
-        if self._metrics is not None:
-            self._metrics.on_replay(self, self.cycle, count)
-        self.cycle += count
 
     # -- fast-forward statistics replay ---------------------------------
     #
-    # The snapshot/replay pair below is the *replay contract*: any driver
-    # that steps this machine — its own ``_run`` loop, or an
+    # The snapshot/replay methods below are the *replay contract*: any
+    # driver that steps this machine — its own loops, or an
     # :class:`repro.core.cluster.SMACluster` that owns the shared memory
     # tick — may snapshot before a candidate idle cycle and, once the
     # cycle is confirmed fully idle, replay it ``count`` times in closed
-    # form.  Neither method touches the memory model, so a non-owning
-    # cluster node replays exactly like a standalone machine.
+    # form (``_replay_fast`` under lazy occupancy accounting,
+    # ``replay_stall_cycles`` under per-cycle sampling).  None of them
+    # touches the memory model, so a non-owning cluster node replays
+    # exactly like a standalone machine.
 
     def stall_snapshot(self):
         """Snapshot of every counter a fully-idle cycle can increment,
@@ -937,7 +895,7 @@ class SMAMachine:
             ],
         )
 
-    def replay_stall_cycles(self, snapshot, count: int) -> None:
+    def _replay_fast(self, snapshot, count: int) -> None:
         """Advance the clock by ``count`` cycles, applying the statistic
         increments of the just-simulated idle cycle (the delta against
         ``snapshot``) in closed form.
@@ -946,7 +904,11 @@ class SMAMachine:
         state untouched except monotone counters: queue contents, PCs,
         stall causes and the stream engine's round-robin pointer are all
         unchanged, so each skipped cycle would have incremented exactly
-        the same counters by exactly the same amounts.
+        the same counters by exactly the same amounts.  Per-queue
+        occupancy is not sampled here: the lazy accounting of
+        :meth:`lazy_occupancy` covers a skipped span on the queue's next
+        flush (contents are constant across it); per-cycle sampling
+        drivers use :meth:`replay_stall_cycles`.
         """
         ap_before, lod_before, ep_before, blocked_before, \
             dwait_before, mwait_before, queues_before = snapshot
@@ -978,6 +940,17 @@ class SMAMachine:
             delta = stats.full_stalls - full_before
             if delta:
                 stats.full_stalls += delta * count
+        if self._metrics is not None:
+            # skipped cycles are self.cycle .. self.cycle + count - 1
+            self._metrics.on_replay(self, self.cycle, count)
+        self.cycle += count
+
+    def replay_stall_cycles(self, snapshot, count: int) -> None:
+        """:meth:`_replay_fast` plus the per-queue occupancy samples the
+        skipped cycles would have taken, for drivers that sample every
+        cycle (the naive and joint-idle loops)."""
+        for queue in self._queue_list:
+            stats = queue.stats
             occupancy = len(queue)
             stats.samples += count
             stats.occupancy_sum += occupancy * count
@@ -985,11 +958,4 @@ class SMAMachine:
             # already exists (and occupancy_max already covers it)
             stats.histogram[occupancy] += count
         self._occupancy_sum += sum(map(len, self._load_slots)) * count
-        if self._metrics is not None:
-            # skipped cycles are self.cycle .. self.cycle + count - 1
-            self._metrics.on_replay(self, self.cycle, count)
-        self.cycle += count
-
-    # old private names, kept for external callers
-    _stall_snapshot = stall_snapshot
-    _replay_stall_cycles = replay_stall_cycles
+        self._replay_fast(snapshot, count)

@@ -17,12 +17,12 @@ Mechanism
   decides *a priori* whether each prediction is correct.  A correct
   prediction supplies the exact value the EP will eventually deliver
   (obtained from an *oracle pre-run*: a non-speculative clone of the
-  machine executed once up front, with taps recording every EAQ/EBQ pop
-  value in order); an incorrect one supplies a deliberately wrong value
-  (flipped branch direction / perturbed address).  ``accuracy=0`` or
-  ``mode="never"`` never opens a frame, so such runs are bit-identical
-  to a non-speculative machine; ``mode="perfect"`` always predicts
-  correctly.
+  machine executed once up front on the event-horizon loop, with taps
+  recording every EAQ/EBQ pop value in order); an incorrect one supplies
+  a deliberately wrong value (flipped branch direction / perturbed
+  address).  ``accuracy=0`` or ``mode="never"`` never opens a frame, so
+  such runs are bit-identical to a non-speculative machine;
+  ``mode="perfect"`` always predicts correctly.
 
 * **Frames.**  Each speculation pushes a frame recording the AP shadow
   state (registers, pc), the pop-sequence cursor, the coin verdict, and
@@ -53,10 +53,11 @@ Mechanism
   (recovery penalty + speculation barriers); every elapsed cycle stays
   attributed to exactly one bucket.
 
-Speculation runs only under the reference (naive) scheduler — the fast
-schedulers downgrade, exactly as fault injection does.  Streams are
-speculation barriers: a descriptor op stalls (``spec_barrier``) until
-all frames resolve.
+The speculative run itself uses only the reference (naive) scheduler —
+the fast schedulers downgrade, exactly as fault injection does; the
+oracle pre-run is non-speculative and fault-free, so it takes the fast
+path.  Streams are speculation barriers: a descriptor op stalls
+(``spec_barrier``) until all frames resolve.
 """
 
 from __future__ import annotations
@@ -130,7 +131,9 @@ def build_oracle(machine, max_cycles: int = 10_000_000) -> dict:
     correct speculation plus rollback-on-misprediction preserves the
     architectural history exactly, so the recorded sequences stay valid
     for the whole speculative run.  Faults are stripped from the clone:
-    they perturb timing only, never values.
+    they perturb timing only, never values.  The stripped clone is
+    exactly what the event-horizon loop serves, so the pre-run takes
+    that loop.
     """
     from .machine import SMAMachine
 
@@ -140,7 +143,11 @@ def build_oracle(machine, max_cycles: int = 10_000_000) -> dict:
     taps = {"eaq": [], "ebq": []}
     ref.queues.ep_to_ap_data._tap = taps["eaq"]
     ref.queues.ep_to_ap_branch._tap = taps["ebq"]
-    ref.run(max_cycles=max_cycles, scheduler="naive")
+    # named explicitly rather than left to run()'s default: the taps
+    # record inside OperandQueue.pop, which the event-horizon step_fast
+    # paths call for every EAQ/EBQ pop, but the codegen loop inlines its
+    # pops and would bypass _tap
+    ref.run(max_cycles=max_cycles, scheduler="event-horizon")
     return taps
 
 

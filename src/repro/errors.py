@@ -41,6 +41,12 @@ class SimulationError(ReproError):
     """
 
 
+class CycleBudgetExceeded(SimulationError):
+    """Raised when a run reaches its ``max_cycles`` budget before the
+    machine is done.  The machine state is consistent at the budget
+    cycle, so ``step_cycles`` catches this to stop a bounded slice."""
+
+
 class MemoryError_(ReproError):
     """Raised for out-of-bounds or non-integral memory addresses."""
 

@@ -535,12 +535,16 @@ def _run_pool(
                 try:
                     future = pool.submit(run_job, jobs[i])
                 except BrokenProcessPool:
-                    # pool died between loop iterations; respawn and
-                    # retry the submit on the fresh pool
                     queue.appendleft(i)
-                    for other, (j, _deadline) in inflight.items():
-                        queue.append(j)
-                    inflight.clear()
+                    if inflight:
+                        # a worker crashed under the in-flight jobs: the
+                        # executor marks itself broken *before* failing
+                        # their futures, so requeueing them here would
+                        # drop the crashed job's retry charge; the wait
+                        # below collects and charges them, then respawns
+                        break
+                    # nothing in flight to charge: respawn and retry the
+                    # submit on the fresh pool
                     _kill_pool(pool)
                     pool = new_pool()
                     stats.respawns += 1
@@ -553,7 +557,13 @@ def _run_pool(
                     wake = min(not_before[i] for i in queue)
                     time.sleep(max(0.0, wake - time.monotonic()))
                 continue
-            poll = _DEADLINE_POLL if timeout is not None else None
+            # a broken pool fails its futures promptly; the bounded poll
+            # covers one that never resolves
+            pool_broken = getattr(pool, "_broken", False)
+            poll = (
+                _DEADLINE_POLL
+                if timeout is not None or pool_broken else None
+            )
             if queue and len(inflight) < workers:
                 # a queued job is only held back by its backoff window;
                 # wake when the earliest becomes submittable
@@ -591,7 +601,7 @@ def _run_pool(
                     charge(i, "lost to a crashed worker", exc)
                 else:
                     charge(i, f"raised {type(exc).__name__}", exc)
-            if broken is not None or getattr(pool, "_broken", False):
+            if broken is not None or (pool_broken and not done):
                 # every other in-flight job is collateral: requeue
                 # without charging a retry
                 for future, (i, _deadline) in inflight.items():

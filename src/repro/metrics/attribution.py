@@ -35,7 +35,7 @@ Priority order (first match wins; documented in ARCHITECTURE.md §14):
 
 Fast-forward compatibility: the machine calls :meth:`on_cycle` from
 ``step_cycle`` (so the replay-*template* cycle is classified normally)
-and :meth:`on_replay` from ``_replay_stall_cycles``.  Skipped cycles are
+and :meth:`on_replay` from ``_replay_fast``.  Skipped cycles are
 exact repeats of the template, so the replay adds ``count`` to the
 template's bucket and advances the stride samplers in closed form —
 bucket totals stay bit-identical to naive ticking (property-tested in
@@ -164,7 +164,7 @@ class SMAMachineMetrics:
         for sampler in self.registry.samplers:
             sampler.on_cycle(machine, cycle)
 
-    # -- the fast-forward hook (called from _replay_stall_cycles) --------
+    # -- the fast-forward hook (called from _replay_fast) ----------------
 
     def on_replay(self, machine, start: int, count: int) -> None:
         """Account ``count`` skipped cycles, each an exact repeat of the

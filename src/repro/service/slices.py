@@ -13,6 +13,12 @@ spread across a drained worker, a crashed worker, and a respawned pool
 replays to the same bits as one uninterrupted run
 (``tests/test_service.py::TestSlices``).
 
+Each slice advances the simulator with ``step_cycles``, which runs the
+same loop as an uninterrupted ``run()`` (event-horizon for plain SMA and
+cluster jobs) and stops at exactly the slice budget, so slicing costs a
+machine rebuild and a snapshot per slice, not per-cycle reference
+ticking.
+
 Eligibility (:func:`sliceable`) is conservative: plain SMA and cluster
 jobs only.  Speculative configurations are excluded because a snapshot
 may not be taken mid-speculation, and a slice boundary can land inside

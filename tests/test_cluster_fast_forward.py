@@ -15,7 +15,7 @@ recorder's per-cycle stall attribution.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.config import MemoryConfig, QueueConfig, SMAConfig
 from repro.core import SMACluster
@@ -121,6 +121,8 @@ def _run_both_modes(specs, latency, depth, banks, ports=1):
     st.sampled_from((1, 2)),              # port width
     st.integers(0, 2**31),                # input seed
 )
+# a shared lazy-occupancy clock over-sampled the node that finishes first
+@example(["daxpy", "daxpy"], 8, 2, 2, 1, 0)
 def test_cluster_fast_forward_identical_on_random_mixes(
     names, latency, depth, banks, ports, seed
 ):
@@ -140,6 +142,32 @@ def test_cluster_fast_forward_identical_on_daxpy_grid(nodes, latency):
     spec = get_kernel("daxpy")
     specs = [spec.instantiate(48, 7 + j) for j in range(nodes)]
     _run_both_modes(specs, latency, depth=8, banks=16)
+
+
+@pytest.mark.parametrize("scheduler", ("event-horizon", "codegen"))
+def test_early_finishing_node_queue_stats_match_naive(scheduler):
+    """Each node's lazy occupancy clock stops at the node's own finish
+    cycle: a short daxpy beside a longer hydro keeps per-queue samples,
+    occupancy sums/maxima and histograms identical to naive ticking."""
+    specs = [
+        get_kernel("daxpy").instantiate(16, 1),
+        get_kernel("hydro").instantiate(96, 2),
+    ]
+    observed = []
+    for sched in ("naive", scheduler):
+        cluster = _build_cluster(specs, latency=16, depth=2, banks=2)
+        result = cluster.run(scheduler=sched)
+        observed.append(_observables(cluster, result, []))
+    naive, fast = observed
+    assert naive["finish_cycles"][0] < naive["finish_cycles"][1]
+    for node_naive, node_fast in zip(naive["nodes"], fast["nodes"]):
+        assert node_fast["queues"] == node_naive["queues"]
+        assert node_fast["occupancy_sum"] == node_naive["occupancy_sum"]
+        assert node_fast["occupancy_max"] == node_naive["occupancy_max"]
+        # every queue sampled exactly the node's own cycles
+        for stats in node_fast["queues"].values():
+            assert stats[4] == node_fast["cycle"]
+    assert fast == naive
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,42 @@ class TestWorkerRecovery:
             run_jobs(_jobs(), workers=2, cache_dir=tmp_path / "cache")
         assert stats.executed == 0 and stats.hits == len(_jobs())
 
+    def test_crash_seen_at_submit_still_charges_the_lost_job(
+        self, tmp_path, monkeypatch
+    ):
+        """The executor marks itself broken before it fails the futures
+        of the crashed worker's jobs.  A submit landing in that window
+        used to requeue the lost job uncharged (retried == 0); here the
+        second submit is held until the crash is visible, so the window
+        is hit every time."""
+        import concurrent.futures
+        import time
+
+        base = concurrent.futures.ProcessPoolExecutor
+        pools = []
+
+        class SubmitAfterCrash(base):
+            def submit(self, fn, *args, **kwargs):
+                if not pools:
+                    pools.append(self)
+                elif pools[0] is self:
+                    # the first pool's later submits wait for the crash
+                    deadline = time.monotonic() + 30
+                    while (not getattr(self, "_broken", False)
+                           and time.monotonic() < deadline):
+                        time.sleep(0.001)
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            SubmitAfterCrash)
+        clean = run_jobs(_jobs())
+        spec = FaultSpec("worker-kill", token_path=str(tmp_path / "tok"))
+        with harness_policy(inject=spec) as stats:
+            got = run_jobs(_jobs(), workers=2, retries=2)
+        assert got == clean
+        assert stats.respawns >= 1 and stats.retried >= 1
+        assert stats.failures == {"BrokenProcessPool": stats.retried}
+
     def test_worker_kill_without_retries_raises(self, tmp_path):
         spec = FaultSpec("worker-kill",
                          token_path=str(tmp_path / "tok"))

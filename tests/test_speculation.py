@@ -26,7 +26,9 @@ from repro.config import (
     SpeculationConfig,
 )
 from repro.core import SMAMachine
+from repro.core.speculation import build_oracle
 from repro.errors import CheckpointError
+from repro.harness.experiments import SPECULATION_REPS
 from repro.harness.runner import _fit_memory, _load_inputs, run_on_sma
 from repro.kernels import get_kernel, lower_sma
 
@@ -168,6 +170,32 @@ class TestScheduling:
         got = machine.run(scheduler="codegen")  # silently downgraded
         assert got.cycles == want.cycles
         assert got.speculation == want.speculation
+
+
+class TestOracle:
+    @pytest.mark.parametrize("name,variant", SPECULATION_REPS)
+    def test_taps_identical_under_naive_and_event_horizon(
+        self, name, variant, monkeypatch
+    ):
+        """The pre-run is pinned to event-horizon; its EAQ/EBQ tap
+        sequences must equal those of a naive pre-run."""
+        machine = _build(name, variant, SpeculationConfig(mode="perfect"),
+                         n=64)
+        pinned = build_oracle(machine)
+
+        original = SMAMachine.run
+        seen = []
+
+        def naive_run(self, **kwargs):
+            seen.append(kwargs.get("scheduler"))
+            return original(self, **{**kwargs, "scheduler": "naive"})
+
+        monkeypatch.setattr(SMAMachine, "run", naive_run)
+        naive = build_oracle(machine)
+        assert seen == ["event-horizon"]
+        assert pinned == naive
+        key = "eaq" if variant == "addr" else "ebq"
+        assert len(pinned[key]) > 0
 
 
 class TestCheckpoint:
