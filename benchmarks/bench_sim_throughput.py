@@ -8,23 +8,23 @@ waiting on memory — two ways:
 ``seed harness``
     the pre-optimization path: per-point :func:`compare_spec` (which
     re-instantiates, re-lowers and re-runs the reference interpreter at
-    every sweep point) with cycle fast-forward disabled, i.e. the naive
-    one-Python-iteration-per-cycle loop.
+    every sweep point) with every machine run under
+    ``scheduler="naive"``, the one-Python-iteration-per-cycle loop.
 
 ``job harness``
     the current path: declarative :class:`~repro.harness.jobs.Job` lists
     through :func:`~repro.harness.parallel.run_jobs` (memoized
-    lowering/reference, ``--jobs`` fan-out on multi-core hosts) with
-    cycle fast-forward enabled.
+    lowering/reference, ``--jobs`` fan-out on multi-core hosts) under
+    the default event-horizon scheduler.
 
 Both produce the same per-point speedup numbers and the same simulated
 cycle counts — asserted below — so the wall-clock ratio is a pure
 simulator-engineering win.
 
-A second section races the four machine schedulers (``naive`` /
-``joint-idle`` / ``event-horizon`` / ``codegen``) head-to-head on two
-regimes: the *low*-latency end of the sweep — where joint idleness is
-rare and the event-horizon scheduler's per-component contracts and
+A second section races the three machine schedulers (``naive`` /
+``event-horizon`` / ``codegen``) head-to-head on two regimes: the
+*low*-latency end of the sweep — where whole-machine idleness is rare
+and the event-horizon scheduler's per-component contracts and
 decode-cached step paths have to carry the win — and the high-latency
 (latency-dominated) band, where the codegen backend's specialized
 straight-line loop must beat the interpreted event-horizon loop
@@ -38,17 +38,6 @@ point is a distinct config, so codegen pays its compile per point,
 while the batch engine steps all lanes in lockstep; the cost per sweep
 point must be at least :data:`BATCH_FLOOR` x lower.
 
-A fourth section races the batch engine against *itself* on the same
-fine grid: the interpreted SoA loop (``compiled=False``, the PR-7
-engine) vs the program-specialized batch lane stepper
-(:mod:`repro.batch.emitter` — a straight-line numpy loop emitted per
-decoded AP/EP program, plus saturation collapse: queue-depth lanes
-whose caps strictly dominate a probe lane's observed queue peaks are
-served from the probe's result without running).  The compiled path
-must cost at least :data:`BATCH_CODEGEN_FLOOR` x less per point, and
-the same grid sharded over ``workers=2`` processes is recorded (with
-the host core count — on a single-core host sharding cannot beat the
-in-driver run, so its scaling floor only applies on multi-core hosts).
 All sweeps record their throughput in ``BENCH_sim_throughput.json``
 (uploaded by CI, gated by ``scripts/check_bench_floor.py``).  Run
 with::
@@ -61,6 +50,7 @@ import json
 import os
 import time
 from dataclasses import replace
+from functools import partialmethod
 from pathlib import Path
 
 import pytest
@@ -68,7 +58,6 @@ import pytest
 from repro.codegen import compiled_loop_for
 from repro.config import MemoryConfig, SMAConfig
 from repro.core import SMAMachine
-from repro.core import machine as machine_mod
 from repro.core.cluster import SMACluster
 from repro.harness.experiments import LATENCY_REPS, _configs
 from repro.harness.jobs import Job
@@ -82,16 +71,21 @@ N = 256
 KERNELS = LATENCY_REPS
 
 
-def _seed_harness_sweep() -> tuple[list[float], int, float]:
+def _seed_harness_sweep(monkeypatch) -> tuple[list[float], int, float]:
     """The seed harness path: naive ticking, no memoization, no jobs.
 
     Returns (per-point speedups, total simulated SMA cycles, wall secs).
     """
     speedups = []
     total_cycles = 0
-    previous = machine_mod.set_fast_forward(False)
-    start = time.perf_counter()
-    try:
+    with monkeypatch.context() as patch:
+        # compare_spec runs the machine with the default scheduler;
+        # pin it to the naive loop for the seed-style timing
+        patch.setattr(
+            SMAMachine, "run",
+            partialmethod(SMAMachine.run, scheduler="naive"),
+        )
+        start = time.perf_counter()
         for latency in LATENCIES:
             sma_cfg, scalar_cfg = _configs(latency=latency)
             for name in KERNELS:
@@ -101,14 +95,12 @@ def _seed_harness_sweep() -> tuple[list[float], int, float]:
                 )
                 speedups.append(cmp_run.speedup)
                 total_cycles += cmp_run.sma.cycles
-    finally:
         elapsed = time.perf_counter() - start
-        machine_mod.set_fast_forward(previous)
     return speedups, total_cycles, elapsed
 
 
 def _job_harness_sweep() -> tuple[list[float], int, float]:
-    """The current harness path: fast-forward + memoized job layer."""
+    """The current harness path: event-horizon + memoized job layer."""
     joblist = []
     for latency in LATENCIES:
         sma_cfg, scalar_cfg = _configs(latency=latency)
@@ -132,8 +124,8 @@ def _job_harness_sweep() -> tuple[list[float], int, float]:
 
 
 @pytest.mark.benchmark(group="throughput")
-def test_sim_throughput(capsys):
-    seed_speedups, seed_cycles, seed_secs = _seed_harness_sweep()
+def test_sim_throughput(capsys, monkeypatch):
+    seed_speedups, seed_cycles, seed_secs = _seed_harness_sweep(monkeypatch)
     job_speedups, job_cycles, job_secs = _job_harness_sweep()
 
     # identical simulations: same cycle counts, same speedup table
@@ -147,11 +139,11 @@ def test_sim_throughput(capsys):
               f"{seed_cycles} simulated SMA cycles")
         print(f"  seed harness (naive ticking)       : "
               f"{seed_cycles / seed_secs:12.0f} cycles/s ({seed_secs:.3f}s)")
-        print(f"  job harness (fast-forward + jobs)  : "
+        print(f"  job harness (event-horizon + jobs) : "
               f"{job_cycles / job_secs:12.0f} cycles/s ({job_secs:.3f}s)")
         print(f"  wall-clock improvement             : {ratio:.2f}x")
     # acceptance floor: the latency-dominated regime is mostly idle
-    # cycles, so fast-forward + memoization should win decisively
+    # cycles, so clock jumps + memoization should win decisively
     assert ratio >= 3.0
 
 
@@ -160,9 +152,8 @@ def test_sim_throughput(capsys):
 # ---------------------------------------------------------------------------
 
 #: the low-latency end of the R-F1 sweep — the regime where whole-machine
-#: idleness is rare and the joint-idle fast-forward has little to jump
-#: over, so any win must come from per-component horizons and the cheaper
-#: decode-cached step paths
+#: idleness is rare, so any win must come from per-component horizons
+#: and the cheaper decode-cached step paths
 SCHEDULER_LATENCIES = (8, 16, 32)
 
 #: the codegen shoot-out band — the latency-dominated high end of the
@@ -175,12 +166,11 @@ CODEGEN_LATENCIES = LATENCIES
 BENCH_JSON = Path(__file__).resolve().parent.parent / \
     "BENCH_sim_throughput.json"
 
-#: acceptance floors: event-horizon must beat the PR-3 fast-forward
-#: (joint-idle) 3x on the full low-latency sweep, and the codegen
-#: backend must beat the interpreted event-horizon loop 3x on the full
-#: high-latency sweep; the CI smoke gates (scripts/check_bench_floor.py)
-#: assert laxer ratios to stay robust on noisy shared runners
-EVENT_HORIZON_FLOOR = 3.0
+#: acceptance floors: the codegen backend must beat the interpreted
+#: event-horizon loop 3x on the full high-latency sweep; the CI smoke
+#: gates (scripts/check_bench_floor.py) assert laxer ratios to stay
+#: robust on noisy shared runners, plus event-horizon vs naive ticking
+#: on the low-latency sweep
 CODEGEN_FLOOR = 3.0
 SMOKE_FLOOR = 2.0
 CODEGEN_SMOKE_FLOOR = 1.5
@@ -212,21 +202,6 @@ BATCH_SUBSAMPLE = 47
 #: floor.
 BATCH_FLOOR = 8.0
 BATCH_SMOKE_FLOOR = 2.0
-
-#: acceptance floor (batch-codegen tentpole): the program-specialized
-#: batch lane stepper (+ saturation collapse) must land at least 3x
-#: lower cost per sweep point than the interpreted SoA loop on the
-#: fine grid.  The smoke grid collapses far less (fewer lanes per
-#: saturation class) and numpy dispatch overhead looms larger, hence
-#: its laxer floor.
-BATCH_CODEGEN_FLOOR = 3.0
-BATCH_CODEGEN_SMOKE_FLOOR = 1.5
-
-#: shard fan-out recorded by the batch-codegen regime; the scaling
-#: floor below only binds on hosts with at least this many cores
-BATCH_SHARD_WORKERS = 2
-BATCH_SHARD_FLOOR = 1.2
-
 
 def _build_sma(name: str, latency: int, n: int) -> SMAMachine:
     kernel, inputs = get_kernel(name).instantiate(n)
@@ -297,7 +272,6 @@ def _sweep_comparison(latencies, n, kernels, repeats) -> dict:
             "cycles_per_sec": round(cycles / secs, 1),
         }
     naive = schedulers["naive"]["seconds"]
-    joint = schedulers["joint-idle"]["seconds"]
     horizon = schedulers["event-horizon"]["seconds"]
     codegen = schedulers["codegen"]["seconds"]
     return {
@@ -308,7 +282,6 @@ def _sweep_comparison(latencies, n, kernels, repeats) -> dict:
         "schedulers": schedulers,
         "ratios": {
             "event_horizon_vs_naive": round(naive / horizon, 2),
-            "event_horizon_vs_joint_idle": round(joint / horizon, 2),
             "codegen_vs_naive": round(naive / codegen, 2),
             "codegen_vs_event_horizon": round(horizon / codegen, 2),
         },
@@ -411,116 +384,13 @@ def _batch_comparison(latencies=BATCH_LATENCIES,
     }
 
 
-def _batch_codegen_comparison(latencies=BATCH_LATENCIES,
-                              depths=BATCH_QUEUE_DEPTHS,
-                              n=BATCH_N, repeats=2,
-                              shard_workers=BATCH_SHARD_WORKERS) -> dict:
-    """Race the batch engine against itself on the fine grid: the
-    interpreted SoA loop (``compiled=False``) vs the program-specialized
-    lane stepper with saturation collapse (``compiled=None``), plus the
-    same grid sharded over ``shard_workers`` processes.  Asserts all
-    three produce identical result dicts for every grid point — the
-    batch codegen bit-exactness contract, checked across the whole
-    grid, not a subsample."""
-    from repro.batch import run_batch
-    from repro.batch.cache import clear_cache
-    from repro.harness.jobs import BatchJob
-
-    jobs = BatchJob(
-        BATCH_KERNEL, n, latencies=latencies, queue_depths=depths
-    ).expand()
-
-    # the per-program compile is warmed outside the timed region (like
-    # the codegen scheduler above: one compile serves the whole grid,
-    # and the lane-group fingerprint cache makes it a once-per-program
-    # cost).  The three modes are timed *interleaved* within each
-    # repeat round — best-of mins from back-to-back runs — so a noise
-    # spike on a shared host degrades all three rather than skewing
-    # the ratio
-    clear_cache()
-    run_batch(jobs)
-    cpus = os.cpu_count() or 1
-    best_interp = best_cg = best_shard = None
-    interp_results: dict = {}
-    cg_results: dict = {}
-    shard_results: dict = {}
-    for _ in range(repeats):
-        # interpreted SoA baseline (the pre-codegen engine):
-        # compiled=False forces the interpreter and disables collapse
-        start = time.perf_counter()
-        interp_results = run_batch(jobs, compiled=False)
-        elapsed = time.perf_counter() - start
-        if best_interp is None or elapsed < best_interp:
-            best_interp = elapsed
-        # program-specialized lane stepper + saturation collapse
-        start = time.perf_counter()
-        cg_results = run_batch(jobs)
-        elapsed = time.perf_counter() - start
-        if best_cg is None or elapsed < best_cg:
-            best_cg = elapsed
-        # the same grid sharded across worker processes (pool spawn is
-        # part of the timed region — a real sweep pays it once per run)
-        start = time.perf_counter()
-        shard_results = run_batch(jobs, workers=shard_workers)
-        elapsed = time.perf_counter() - start
-        if best_shard is None or elapsed < best_shard:
-            best_shard = elapsed
-    assert len(interp_results) == len(jobs)
-    assert cg_results == interp_results, (
-        "batch codegen disagrees with the interpreted batch engine"
-    )
-    assert shard_results == interp_results, (
-        "sharded batch codegen disagrees with the in-driver run"
-    )
-
-    interp_pps = len(jobs) / best_interp
-    cg_pps = len(jobs) / best_cg
-    shard_pps = len(jobs) / best_shard
-    return {
-        "kernel": BATCH_KERNEL,
-        "n": n,
-        "grid": {
-            "latencies": len(latencies),
-            "queue_depths": len(depths),
-            "points": len(jobs),
-        },
-        "batch_interp": {
-            "points": len(jobs),
-            "seconds": round(best_interp, 6),
-            "points_per_sec": round(interp_pps, 1),
-        },
-        "batch_codegen": {
-            "points": len(jobs),
-            "seconds": round(best_cg, 6),
-            "points_per_sec": round(cg_pps, 1),
-            "note": "specialized lane stepper + saturation collapse; "
-                    "per-program compile warmed (once-per-grid cost)",
-        },
-        "batch_codegen_sharded": {
-            "points": len(jobs),
-            "workers": shard_workers,
-            "cpu_count": cpus,
-            "seconds": round(best_shard, 6),
-            "points_per_sec": round(shard_pps, 1),
-            "note": "pool spawn included; on a single-core host "
-                    "sharding cannot beat the in-driver run",
-        },
-        "ratios": {
-            "batch_codegen_vs_batch": round(cg_pps / interp_pps, 2),
-            "sharded_vs_inline": round(shard_pps / cg_pps, 2),
-        },
-    }
-
-
 def run_scheduler_comparison(scheduler_latencies=SCHEDULER_LATENCIES,
                              codegen_latencies=CODEGEN_LATENCIES,
                              n=N, kernels=KERNELS, repeats=2,
                              batch_latencies=BATCH_LATENCIES,
                              batch_depths=BATCH_QUEUE_DEPTHS,
                              batch_n=BATCH_N,
-                             batch_subsample=BATCH_SUBSAMPLE,
-                             batch_codegen_latencies=None,
-                             batch_codegen_depths=None) -> dict:
+                             batch_subsample=BATCH_SUBSAMPLE) -> dict:
     """Run all three shoot-out sweeps and package the numbers for
     ``BENCH_sim_throughput.json``: the low-latency regime (where the
     event-horizon floor is asserted), the latency-dominated regime
@@ -539,22 +409,13 @@ def run_scheduler_comparison(scheduler_latencies=SCHEDULER_LATENCIES,
                 batch_latencies, batch_depths, batch_n, repeats,
                 batch_subsample,
             ),
-            "batch-codegen": _batch_codegen_comparison(
-                batch_codegen_latencies or batch_latencies,
-                batch_codegen_depths or batch_depths,
-                batch_n, repeats,
-            ),
         },
         "floors": {
-            "event_horizon_vs_joint_idle": EVENT_HORIZON_FLOOR,
             "codegen_vs_event_horizon": CODEGEN_FLOOR,
             "batch_vs_codegen": BATCH_FLOOR,
-            "batch_codegen_vs_batch": BATCH_CODEGEN_FLOOR,
-            "sharded_vs_inline_multicore": BATCH_SHARD_FLOOR,
             "smoke_event_horizon_vs_naive": SMOKE_FLOOR,
             "smoke_codegen_vs_event_horizon": CODEGEN_SMOKE_FLOOR,
             "smoke_batch_vs_codegen": BATCH_SMOKE_FLOOR,
-            "smoke_batch_codegen_vs_batch": BATCH_CODEGEN_SMOKE_FLOOR,
         },
     }
 
@@ -565,25 +426,6 @@ def write_bench_json(data: dict, path: Path = BENCH_JSON) -> None:
 
 def _print_comparison(data: dict) -> None:
     for label, sweep in data["sweeps"].items():
-        if "batch_interp" in sweep:  # the batch-codegen regime
-            grid = sweep["grid"]
-            sharded = sweep["batch_codegen_sharded"]
-            print(f"fine-grid {label} shoot-out ({sweep['kernel']} "
-                  f"n={sweep['n']}, {grid['points']} points)")
-            for engine in ("batch_interp", "batch_codegen"):
-                row = sweep[engine]
-                print(f"  {engine:<21}: {row['points_per_sec']:12.1f} "
-                      f"points/s ({row['seconds']:.3f}s)")
-            print(f"  sharded (workers={sharded['workers']})   : "
-                  f"{sharded['points_per_sec']:12.1f} points/s "
-                  f"({sharded['seconds']:.3f}s, "
-                  f"{sharded['cpu_count']} core(s))")
-            ratios = sweep["ratios"]
-            print(f"  batch-codegen vs batch      : "
-                  f"{ratios['batch_codegen_vs_batch']:.2f}x")
-            print(f"  sharded vs in-driver        : "
-                  f"{ratios['sharded_vs_inline']:.2f}x")
-            continue
         if "schedulers" not in sweep:  # the fine-grid batch regime
             grid = sweep["grid"]
             print(f"fine-grid {label} shoot-out ({sweep['kernel']} "
@@ -608,8 +450,6 @@ def _print_comparison(data: dict) -> None:
         ratios = sweep["ratios"]
         print(f"  event-horizon vs naive      : "
               f"{ratios['event_horizon_vs_naive']:.2f}x")
-        print(f"  event-horizon vs joint-idle : "
-              f"{ratios['event_horizon_vs_joint_idle']:.2f}x")
         print(f"  codegen vs naive            : "
               f"{ratios['codegen_vs_naive']:.2f}x")
         print(f"  codegen vs event-horizon    : "
@@ -624,11 +464,6 @@ def test_scheduler_throughput(capsys):
         print()
         _print_comparison(data)
         print(f"  (recorded in {BENCH_JSON.name})")
-    # acceptance floor (PR-4 tentpole): per-component horizons +
-    # decode-cached hot loop must beat the PR-3 joint-idle fast-forward
-    # 3x even in the low-latency regime it was weakest in
-    assert data["sweeps"]["scheduler"]["ratios"][
-        "event_horizon_vs_joint_idle"] >= EVENT_HORIZON_FLOOR
     # acceptance floor (codegen tentpole): the generated straight-line
     # loop must beat the interpreted event-horizon loop 3x on the
     # latency-dominated band
@@ -638,15 +473,6 @@ def test_scheduler_throughput(capsys):
     # lower cost per sweep point than per-point codegen on the fine grid
     assert data["sweeps"]["batch"]["ratios"][
         "batch_vs_codegen"] >= BATCH_FLOOR
-    # acceptance floor (batch-codegen tentpole): the specialized lane
-    # stepper + saturation collapse must beat the interpreted SoA loop
-    # 3x on the same grid
-    assert data["sweeps"]["batch-codegen"]["ratios"][
-        "batch_codegen_vs_batch"] >= BATCH_CODEGEN_FLOOR
-    # the shard scaling floor only binds where shards get real cores
-    if (os.cpu_count() or 1) >= BATCH_SHARD_WORKERS:
-        assert data["sweeps"]["batch-codegen"]["ratios"][
-            "sharded_vs_inline"] >= BATCH_SHARD_FLOOR
 
 
 def main(argv=None) -> int:
@@ -672,22 +498,12 @@ def main(argv=None) -> int:
         smoke_latencies = tuple(
             sorted({max(1, round(2 ** (i * 9 / 11))) for i in range(12)})
         )
-        # the batch-codegen regime keeps the full 1..64 depth axis in
-        # smoke: its win comes from saturation collapse, which a
-        # shallow-depth grid (everything saturates) would erase — and
-        # unlike the per-point codegen comparator it costs no compile
-        # per grid point, so the wider grid stays cheap
-        bc_latencies = tuple(
-            sorted({max(1, round(2 ** (i * 9 / 23))) for i in range(24)})
-        )
         data = run_scheduler_comparison(
             scheduler_latencies=(8, 32), codegen_latencies=(64, 256),
             n=96, repeats=3,
             batch_latencies=smoke_latencies,
             batch_depths=tuple(range(1, 17)),
             batch_subsample=13,
-            batch_codegen_latencies=bc_latencies,
-            batch_codegen_depths=tuple(range(1, 65)),
         )
     else:
         data = run_scheduler_comparison(repeats=3)
@@ -698,7 +514,7 @@ def main(argv=None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# cluster fast-forward: the widened R-F8 grid, naive vs fast-forward
+# cluster fast-forward: the widened R-F8 grid, naive vs event-horizon
 # ---------------------------------------------------------------------------
 
 #: the widened R-F8 grid (node counts 1-8 x port widths), swept at three
@@ -732,7 +548,7 @@ def _build_cluster(nodes: int, latency: int, ports: int) -> SMACluster:
     return cluster
 
 
-def _cluster_sweep(latency: int, fast: bool) -> tuple[int, float]:
+def _cluster_sweep(latency: int, scheduler: str) -> tuple[int, float]:
     """Run the node x port grid at one latency; returns (simulated
     cluster cycles, wall seconds)."""
     total_cycles = 0
@@ -740,7 +556,7 @@ def _cluster_sweep(latency: int, fast: bool) -> tuple[int, float]:
     for nodes in CLUSTER_NODES:
         for ports in CLUSTER_PORTS:
             cluster = _build_cluster(nodes, latency, ports)
-            total_cycles += cluster.run(fast_forward=fast).cycles
+            total_cycles += cluster.run(scheduler=scheduler).cycles
     return total_cycles, time.perf_counter() - start
 
 
@@ -748,22 +564,22 @@ def _cluster_sweep(latency: int, fast: bool) -> tuple[int, float]:
 def test_cluster_sim_throughput(capsys):
     rows = []
     for latency in CLUSTER_LATENCIES:
-        naive_cycles, naive_secs = _cluster_sweep(latency, fast=False)
-        ff_cycles, ff_secs = _cluster_sweep(latency, fast=True)
+        naive_cycles, naive_secs = _cluster_sweep(latency, "naive")
+        ff_cycles, ff_secs = _cluster_sweep(latency, "event-horizon")
         # identical simulations either way
         assert ff_cycles == naive_cycles
         rows.append((latency, naive_cycles, naive_secs, ff_secs))
     with capsys.disabled():
         print()
         print(f"R-F8 grid (nodes {CLUSTER_NODES} x ports {CLUSTER_PORTS}, "
-              f"daxpy n={CLUSTER_N}), naive vs cluster fast-forward:")
+              f"daxpy n={CLUSTER_N}), naive vs cluster event-horizon:")
         for latency, cycles, naive_secs, ff_secs in rows:
             print(f"  latency {latency:3d}: {cycles:8d} cluster cycles  "
                   f"naive {naive_secs:6.2f}s  ff {ff_secs:6.2f}s  "
                   f"({naive_secs / ff_secs:.2f}x)")
     # acceptance floor: in the latency-dominated regime (the high end of
-    # the sweep, latency >= 16) joint idleness dominates and the shared
-    # clock jump must win at least 2x wall-clock
+    # the sweep, latency >= 16) jointly idle cycles dominate and the
+    # shared clock jump must win at least 2x wall-clock
     best = max(naive_secs / ff_secs for _, _, naive_secs, ff_secs in rows)
     assert best >= 2.0
 

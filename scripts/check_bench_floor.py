@@ -10,16 +10,14 @@ Reads ``BENCH_sim_throughput.json`` (default: repo root) as written by
 ``benchmarks/bench_sim_throughput.py`` and fails when any measured
 smoke ratio falls below its floor: the event-horizon scheduler against
 naive ticking on the low-latency sweep, the codegen backend against
-the interpreted event-horizon loop on the latency-dominated sweep, the
-SoA batch engine against per-point codegen (points/second) on the fine
-sweep grid, and the program-specialized batch lane stepper against the
-interpreted SoA loop on the same grid.  The floors live in the JSON
-itself (``floors.smoke_event_horizon_vs_naive``, 2x by default,
-``floors.smoke_codegen_vs_event_horizon``, 1.5x,
-``floors.smoke_batch_vs_codegen``, 2x, and
-``floors.smoke_batch_codegen_vs_batch``, 1.5x — all deliberately
-laxer than the full-benchmark assertions so shared CI runners don't
-flake) so benchmark and gate can never disagree about the contract.
+the interpreted event-horizon loop on the latency-dominated sweep, and
+the SoA batch engine against per-point codegen (points/second) on the
+fine sweep grid.  The floors live in the JSON itself
+(``floors.smoke_event_horizon_vs_naive``, 2x by default,
+``floors.smoke_codegen_vs_event_horizon``, 1.5x, and
+``floors.smoke_batch_vs_codegen``, 2x — all deliberately laxer than
+the full-benchmark assertions so shared CI runners don't flake) so
+benchmark and gate can never disagree about the contract.
 
 Exit status is non-zero on a miss, a malformed file, or implausible
 numbers (schedulers disagreeing on simulated cycles), so the workflow
@@ -35,7 +33,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 DEFAULT_JSON = REPO / "BENCH_sim_throughput.json"
 
-REQUIRED_SCHEDULERS = ("naive", "joint-idle", "event-horizon", "codegen")
+REQUIRED_SCHEDULERS = ("naive", "event-horizon", "codegen")
 REQUIRED_SWEEPS = ("scheduler", "codegen")
 
 #: (sweep, numerator scheduler, denominator scheduler, floor key) per gate
@@ -48,10 +46,6 @@ GATES = (
 #: the two engines cover different point counts — the batch engine runs
 #: the full grid, codegen a stratified subsample)
 BATCH_FLOOR_KEY = "smoke_batch_vs_codegen"
-
-#: floor key for the batch-codegen regime (specialized lane stepper +
-#: saturation collapse vs the interpreted SoA loop, same grid both ways)
-BATCH_CODEGEN_FLOOR_KEY = "smoke_batch_codegen_vs_batch"
 
 
 def _check_sweep(label: str, sweep: dict) -> list[str]:
@@ -105,37 +99,6 @@ def _check_batch_sweep(sweep: dict) -> list[str]:
     return problems
 
 
-def _check_batch_codegen_sweep(sweep: dict) -> list[str]:
-    """Validate the batch-codegen section: interpreted vs specialized
-    vs sharded runs of the *same* grid, so all three point counts must
-    equal the grid's."""
-    problems: list[str] = []
-    engines = ("batch_interp", "batch_codegen", "batch_codegen_sharded")
-    for engine in engines:
-        row = sweep.get(engine)
-        if not isinstance(row, dict):
-            problems.append(
-                f"batch-codegen: missing engine entry {engine!r}"
-            )
-            continue
-        for field in ("points", "seconds", "points_per_sec"):
-            if not isinstance(row.get(field), (int, float)) \
-                    or row[field] <= 0:
-                problems.append(
-                    f"batch-codegen: {engine}.{field} missing or "
-                    "non-positive"
-                )
-    grid_points = sweep.get("grid", {}).get("points")
-    if not problems:
-        for engine in engines:
-            if sweep[engine]["points"] != grid_points:
-                problems.append(
-                    f"batch-codegen: {engine} did not cover the full "
-                    f"grid: {sweep[engine]['points']} != {grid_points}"
-                )
-    return problems
-
-
 def check(path: Path) -> list[str]:
     problems: list[str] = []
     try:
@@ -159,11 +122,6 @@ def check(path: Path) -> list[str]:
         problems.append("missing sweep section 'batch'")
     else:
         problems.extend(_check_batch_sweep(batch_sweep))
-    bc_sweep = sweeps.get("batch-codegen")
-    if not isinstance(bc_sweep, dict):
-        problems.append("missing sweep section 'batch-codegen'")
-    else:
-        problems.extend(_check_batch_codegen_sweep(bc_sweep))
     if problems:
         return problems
 
@@ -199,28 +157,6 @@ def check(path: Path) -> list[str]:
                 f"{floor}x vs per-point codegen on the fine grid"
             )
 
-    floor = floors.get(BATCH_CODEGEN_FLOOR_KEY)
-    if not isinstance(floor, (int, float)) or floor <= 0:
-        problems.append(f"floors.{BATCH_CODEGEN_FLOOR_KEY} missing")
-    else:
-        ratio = (bc_sweep["batch_codegen"]["points_per_sec"]
-                 / bc_sweep["batch_interp"]["points_per_sec"])
-        grid = bc_sweep["grid"]
-        print(f"batch-codegen vs interpreted batch: {ratio:.2f}x "
-              f"points/s (floor {floor}x) on the fine grid "
-              f"({grid['points']} points)")
-        if ratio < floor:
-            problems.append(
-                f"batch-codegen throughput floor missed: {ratio:.2f}x "
-                f"< {floor}x vs the interpreted batch engine"
-            )
-        sharded = bc_sweep["batch_codegen_sharded"]
-        shard_ratio = (sharded["points_per_sec"]
-                       / bc_sweep["batch_codegen"]["points_per_sec"])
-        print(f"sharded (workers={sharded.get('workers')}) vs "
-              f"in-driver: {shard_ratio:.2f}x points/s on "
-              f"{sharded.get('cpu_count')} core(s) — informational; "
-              "scaling is only gated on multi-core hosts")
     return problems
 
 

@@ -19,8 +19,8 @@ run time, so one artifact serves every lane group of the same program —
 that is what makes a 3200-point sweep one compile.
 
 Programs the emitter cannot specialize land in a negative cache so
-``LaneEngine.run`` falls back to the interpreted loop without
-re-attempting emission every group.
+their lane groups go straight to the scalar path without re-attempting
+emission every group.
 """
 
 from __future__ import annotations
@@ -100,8 +100,7 @@ def cached_artifacts() -> list[LaneArtifact]:
 def get_or_compile(engine) -> LaneArtifact | None:
     """Return the compiled lane stepper for ``engine``'s program pair,
     emitting and compiling on first use; ``None`` when the program
-    cannot be specialized (the caller falls back to the interpreted
-    loop)."""
+    cannot be specialized (its jobs belong on the scalar path)."""
     key = artifact_key(engine)
     if key in _UNSUPPORTED:
         return None

@@ -1,18 +1,14 @@
-"""Program-specialized emitter for the SoA batch engine.
+"""Program-specialized lane stepper for the SoA batch engine.
 
-:class:`LaneEngine` interprets: every cycle it re-groups lanes by pc,
-re-reads the same decoded tuples, re-branches on operand tags, and
-probes queues and components the program can never touch.  The emitter
-here walks the decoded access/execute program pair *once* per lane
-group and writes out the exact numpy lane-stepper this program needs —
-the same fusion PR 6's scalar emitter applied to one machine, lifted to
-the whole lane axis:
+The emitter walks the decoded access/execute program pair *once* per
+program and writes out the exact numpy lane-stepper this program needs —
+the same fusion the scalar emitter (:mod:`repro.codegen`) applies to one
+machine, lifted to the whole lane axis:
 
-* per-pc interpreted dispatch becomes a table of per-instruction block
-  functions with opcodes, operands, queue ids, stall-cause ids and
-  branch targets baked in as literals (ALU ops become inline numpy
-  expressions with the exact CPython-float semantics of
-  ``engine._alu_eval``);
+* per-pc dispatch becomes a table of per-instruction block functions
+  with opcodes, operands, queue ids, stall-cause ids and branch targets
+  baked in as literals (ALU ops become inline numpy expressions with the
+  exact CPython-float semantics of ``ALU_FUNCS``);
 * statically dead probes are elided — no store-unit body without a
   ``staddr``, no stream-engine body without a stream op, no completion
   delivery or pending-ring bookkeeping for a program that never issues
@@ -26,23 +22,26 @@ the whole lane axis:
   once they go quiet;
 * each stall site knows its cause statically, so the stall/first-seen
   bookkeeping — including the LOD episode-entry check, which only LOD
-  sites emit — is fused into the block, and the per-lane idle-jump
-  replay in the loop tail picks those causes up in closed form exactly
-  as the interpreter does.
+  sites emit — is fused into the block;
+* lanes carry their own clocks: a lane whose cycle made no progress and
+  delivered no completion is in a steady stall, so the loop tail jumps
+  its clock to its next memory event (earliest in-flight load maturing,
+  earliest busy bank freeing) and replays the per-cycle statistic
+  increments in closed form;
+* a finished lane leaves the active index and costs nothing for the
+  rest of the run.
 
 Cold paths that run at most once per stream per lane (descriptor
 creation, descriptor compaction, memory growth, the deadlock
-diagnostic) delegate back to the engine instance; they mutate the same
-arrays the generated locals alias, so the compiled loop and the
-interpreter share one state representation and one
-:class:`~repro.batch.engine.BatchOutcome` shape.
+diagnostic) delegate back to the :class:`~repro.batch.engine.LaneEngine`
+instance; they mutate the same arrays the generated locals alias.
 
-The output is bit-identical to ``LaneEngine.run()`` — every
-``lane_dict()`` and the final memory image — property-tested in
-``tests/test_batch_codegen.py``.  Programs the emitter cannot
+Every lane's ``lane_dict()`` and final memory image match the scalar
+machine bit for bit, property-tested in ``tests/test_batch_codegen.py``
+and ``tests/test_batch_equivalence.py``.  Programs the emitter cannot
 specialize raise :class:`Unsupported`; the cache layer
-(:mod:`repro.batch.cache`) negative-caches them and ``run()`` falls
-back to the interpreted loop (see ARCHITECTURE section 21 for the full
+(:mod:`repro.batch.cache`) negative-caches them and the dispatcher runs
+those jobs on the scalar path (see ARCHITECTURE section 21 for the full
 contract).
 """
 
@@ -57,15 +56,16 @@ from ..isa import Op
 from . import decode as D
 
 #: emission guard: a pathological program would expand into an
-#: unreasonably large module; the interpreter handles it instead
+#: unreasonably large module; such jobs run on the scalar path instead
 MAX_PROGRAM_LEN = 2000
 
 
 class Unsupported(Exception):
-    """The program cannot be specialized; fall back to the interpreter."""
+    """The program cannot be specialized; its jobs run on the scalar
+    path."""
 
 
-# -- runtime helpers (vectorized twins of the interpreter's) -------------
+# -- runtime helpers -----------------------------------------------------
 
 _BIG = np.int64(1) << 62
 
@@ -79,6 +79,7 @@ def _div(a, b):
 def _mod(a, b):
     if np.any(b == 0):
         raise ZeroDivisionError("MOD by zero in simulated program")
+    # CPython float %: fmod, then fold into the divisor's sign
     r = np.fmod(a, b)
     fix = (r != 0) & ((r < 0) != (b < 0))
     return np.where(fix, r + b, r)
@@ -91,7 +92,8 @@ def _sqrt(a):
 
 
 def _addr(values):
-    """Vectorized twin of ``LaneEngine._as_addr``."""
+    """Checked float-to-int address conversion (also bound as
+    ``LaneEngine._as_addr`` for the engine's cold paths)."""
     addr = values.astype(np.int64)
     if np.any(addr != values):
         bad = values[addr != values][0]
@@ -121,7 +123,8 @@ def runtime_namespace() -> dict:
 
 def _alu_np_expr(op: Op, a: list[str]) -> str:
     """Numpy expression with semantics identical to
-    ``engine._alu_eval`` (which itself mirrors ``ALU_FUNCS``).  ``a``
+    :data:`repro.isa.ALU_FUNCS` (IEEE-754 double throughout; ``min``/
+    ``max`` tie order and the ``%`` sign fold are spelled out).  ``a``
     holds operand sub-expressions (plain temps or float literals)."""
 
     def need(k: int) -> None:

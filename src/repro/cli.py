@@ -35,8 +35,7 @@ Commands
     corrupt-cache quarantine actually work.  ``--backend batch`` steps
     the sweep's eligible SMA jobs in lockstep through the SoA batch
     engine (``repro.batch``) — bit-identical results, cached under the
-    same keys.  ``--batch-workers N`` shards the batch lane groups over
-    N fingerprint-seeded worker processes.
+    same keys.
 
 ``serve``
     Sweep-as-a-service: a stdlib asyncio HTTP server over the harness.
@@ -59,9 +58,8 @@ Commands
     through the batch engine: thousands of timing configurations as
     numpy lanes in one process.  Eligible lane groups run through the
     program-specialized batch codegen stepper (saturation-collapsed,
-    bit-identical to the interpreted engine; see
-    ``repro.batch.emitter``), and ``--batch-workers N`` shards them
-    over N worker processes.  Grid axes take comma-separated values
+    bit-identical to the scalar machine; see ``repro.batch.emitter``).
+    Grid axes take comma-separated values
     and inclusive ``LO-HI`` ranges (``--latencies 1,2,4-8``); output is
     one CSV row per grid point, with a points/second summary on stderr.
 
@@ -85,8 +83,8 @@ Commands
 ``profile KERNEL``
     cProfile one kernel's SMA simulation and attribute exclusive time to
     simulator components (access processor, stream engine, memory, ...);
-    ``--scheduler`` picks the simulation loop (naive / joint-idle /
-    event-horizon) so loop costs can be compared, ``--top K`` adds the K
+    ``--scheduler`` picks the simulation loop (naive / event-horizon /
+    codegen) so loop costs can be compared, ``--top K`` adds the K
     hottest individual functions.
 
 ``codegen show KERNEL`` / ``codegen list``
@@ -284,14 +282,9 @@ def cmd_sweep(args) -> int:
         fn = EXPERIMENTS[experiment_id]
         if "backend" in inspect.signature(fn).parameters:
             backend_kwargs["backend"] = args.backend
-            if args.batch_workers != 1:
-                backend_kwargs["batch_workers"] = args.batch_workers
         else:
             print(f"{experiment_id} has no dense SMA sweep; "
                   f"ignoring --backend {args.backend}", file=sys.stderr)
-    elif args.batch_workers != 1:
-        print("--batch-workers only applies with --backend batch; "
-              "ignoring it", file=sys.stderr)
     cache = Path(args.cache)
     cached_entries = list(cache.glob("*.json")) if cache.is_dir() else []
     if cached_entries and not args.resume:
@@ -454,8 +447,7 @@ def cmd_batch(args) -> int:
     jobs = batch_job.expand()
     start = time.perf_counter()
     with harness_policy() as stats:
-        results = run_jobs(jobs, cache_dir=args.cache, backend="batch",
-                           batch_workers=args.batch_workers)
+        results = run_jobs(jobs, cache_dir=args.cache, backend="batch")
     wall = time.perf_counter() - start
     print("latency,queue_depth,banks,cycles,memory_reads,memory_writes,"
           "mean_outstanding_loads")
@@ -886,11 +878,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="run eligible SMA jobs through the SoA "
                               "batch engine (bit-identical, much faster "
                               "on dense grids)")
-    p_sweep.add_argument("--batch-workers", type=int, default=1,
-                         metavar="N",
-                         help="with --backend batch: shard the batch "
-                              "lane groups over N worker processes "
-                              "(default 1: in-driver)")
 
     p_serve = sub.add_parser(
         "serve",
@@ -970,12 +957,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--cache", default=None, metavar="DIR",
                          help="flush per-point results under DIR (same "
                               "keys as the scalar path)")
-    p_batch.add_argument("--batch-workers", type=int, default=1,
-                         metavar="N",
-                         help="shard the grid's lane groups over N "
-                              "worker processes (split along "
-                              "saturation-class lines; default 1 runs "
-                              "everything in the driver process)")
 
     p_ckpt = sub.add_parser(
         "checkpoint",

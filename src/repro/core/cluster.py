@@ -49,7 +49,6 @@ from ..config import SMAConfig
 from ..errors import CycleBudgetExceeded, SimulationError
 from ..isa import Program
 from ..memory import BankedMemory, MainMemory
-from . import machine as machine_mod
 from .machine import SMAMachine, SMAResult
 
 
@@ -129,8 +128,8 @@ class SMACluster:
         node gets its own registry (counter names collide across nodes
         otherwise); the shared memory's counters are published into every
         node's registry, getter-based over the one shared stats object.
-        Like the single-machine case, attaching metrics keeps cluster
-        fast-forward enabled — node classifiers and samplers replay in
+        Like the single-machine case, attaching metrics keeps the fast
+        cluster loop enabled — node classifiers and samplers replay in
         closed form.
         """
         return [node.attach_metrics() for node in self.nodes]
@@ -253,28 +252,20 @@ class SMACluster:
         self,
         max_cycles: int = 10_000_000,
         deadlock_window: int = 10_000,
-        fast_forward: bool | None = None,
-        scheduler: str | None = None,
+        scheduler: str = "event-horizon",
     ) -> ClusterResult:
         """Run every node to completion under shared-memory contention.
 
         ``scheduler`` picks the loop exactly as in
         :meth:`SMAMachine.run` — any key of
-        :data:`SMAMachine.SCHEDULERS` (``"naive"`` / ``"joint-idle"`` /
-        ``"event-horizon"`` / ``"codegen"``); when ``None`` it is
-        derived from ``fast_forward``, which itself defaults to the
-        process-wide :data:`repro.core.machine.FAST_FORWARD`.  The
-        codegen scheduler runs the event-horizon loop with each node's
-        interpreted ``step_cycle`` replaced by its compiled
-        program-specialized step function (unspecializable nodes fall
-        back per node).  Cycle counts and every per-node statistic are
-        bit-identical across all four.
+        :data:`SMAMachine.SCHEDULERS` (``"naive"`` /
+        ``"event-horizon"`` / ``"codegen"``).  The codegen scheduler
+        runs the event-horizon loop with each node's interpreted step
+        replaced by its compiled program-specialized step function
+        (unspecializable nodes fall back per node).  Cycle counts and
+        every per-node statistic are bit-identical across all three.
         """
-        if scheduler is None:
-            if fast_forward is None:
-                fast_forward = machine_mod.FAST_FORWARD
-            scheduler = "event-horizon" if fast_forward else "naive"
-        elif scheduler not in SMAMachine.SCHEDULERS:
+        if scheduler not in SMAMachine.SCHEDULERS:
             raise ValueError(
                 f"unknown scheduler {scheduler!r}; expected one of "
                 + ", ".join(SMAMachine.SCHEDULERS)
@@ -297,9 +288,7 @@ class SMACluster:
         elif scheduler == "event-horizon":
             self._run_event_horizon(max_cycles, deadlock_window)
         else:
-            self._run_joint_idle(
-                max_cycles, deadlock_window, scheduler == "joint-idle"
-            )
+            self._run_naive(max_cycles, deadlock_window)
         return self._collect()
 
     def _run_event_horizon(
@@ -441,80 +430,25 @@ class SMACluster:
                     + self._deadlock_reports()
                 )
 
-    def _run_joint_idle(
-        self,
-        max_cycles: int,
-        deadlock_window: int,
-        fast_forward: bool,
-    ) -> None:
-        """The PR 3 loop: naive ticking, optionally jumping the shared
-        clock after two consecutive jointly-idle cycles."""
-        banked = self.banked
+    def _run_naive(self, max_cycles: int, deadlock_window: int) -> None:
+        """The reference loop: one :meth:`_step_all` per cluster cycle."""
         last_state: tuple = ()
         last_progress = 0
-        prev_idle = False  # previous cycle was jointly idle
         while not self.done():
             if self.cycle >= max_cycles:
                 raise CycleBudgetExceeded(
                     f"exceeded cycle budget {max_cycles}"
                 )
-            if prev_idle and fast_forward:
-                # every node is in a steady stall: simulate one more
-                # cycle as the per-node replay template, then jump the
-                # shared clock to the next memory event
-                running = [
-                    (node, node.stall_snapshot())
-                    for node in self.nodes
-                    if not node.done()
-                ]
-                pending_before = banked.pending_completions
-                self._step_all()
-                state = self._progress_state()
-                if (
-                    state == last_state
-                    and banked.pending_completions == pending_before
-                ):
-                    # no node moved and nothing completed: every cycle
-                    # until the next memory event repeats this one
-                    # exactly, on every node
-                    horizon = min(
-                        last_progress + deadlock_window + 1, max_cycles
-                    )
-                    target = banked.next_event_time(self.cycle - 1)
-                    if target is None or target > horizon:
-                        target = horizon
-                    skipped = target - self.cycle
-                    if skipped > 0:
-                        for node, snapshot in running:
-                            node.replay_stall_cycles(snapshot, skipped)
-                        self.cycle += skipped
-                    if self.cycle - last_progress > deadlock_window:
-                        raise SimulationError(
-                            f"cluster deadlock at cycle {self.cycle}: "
-                            + self._deadlock_reports()
-                        )
-                    continue
-                # the candidate cycle made progress somewhere — fall
-                # through to the ordinary bookkeeping below
-            else:
-                self._step_all()
+            self._step_all()
             state = self._progress_state()
             if state != last_state:
                 last_state = state
                 last_progress = self.cycle
-                prev_idle = False
-                p_pending = banked.pending_completions
-            else:
-                if self.cycle - last_progress > deadlock_window:
-                    raise SimulationError(
-                        f"cluster deadlock at cycle {self.cycle}: "
-                        + self._deadlock_reports()
-                    )
-                # a cycle that only delivered a completion is not idle:
-                # the filled slot can unblock a node next cycle
-                pending = banked.pending_completions
-                prev_idle = pending == p_pending
-                p_pending = pending
+            elif self.cycle - last_progress > deadlock_window:
+                raise SimulationError(
+                    f"cluster deadlock at cycle {self.cycle}: "
+                    + self._deadlock_reports()
+                )
 
     def _collect(self) -> ClusterResult:
         for index, node in enumerate(self.nodes):

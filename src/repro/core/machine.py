@@ -17,24 +17,22 @@ aborts with a diagnostic if no forward progress happens for
 always indicates a miscompiled program (e.g. EP pops a queue the AP never
 feeds), and the stall-cause breakdown in the exception message says which.
 
-**Cycle fast-forward.**  In the latency-dominated regime (long memory
-latency, shallow queues, loss-of-decoupling recurrences) most simulated
-cycles are *fully idle*: every unit is stalled waiting on a pending memory
-completion, and stepping the machine changes nothing but time-weighted
-statistics.  ``run`` detects this — two consecutive cycles in which no
-instruction retired, no request issued, no store committed and no
-completion fired — and jumps the clock directly to the next memory event
-(earliest pending completion, or earliest busy bank becoming free),
-replaying the idle cycle's statistic increments in closed form so every
-counter stays bit-identical to naive ticking.  The fast path disables
-itself when an ``observer`` is attached, so trace collectors still see
-every cycle; ``fast_forward=False`` forces naive ticking (used by the
-differential property tests and the throughput benchmark).
+**Schedulers.**  ``run`` picks one of the loops in
+:data:`SMAMachine.SCHEDULERS`.  ``"naive"`` ticks every cycle and is the
+reference every other loop must match bit for bit.  The default,
+``"event-horizon"``, steps through decode-cached fast paths and, when
+every unit is stalled, asks each component for the next cycle at which
+it can make progress (its ``next_event_time`` contract), jumps the clock
+there and replays the skipped cycles' statistic increments in closed
+form.  ``"codegen"`` runs the same structure compiled for one (program,
+config) pair (:mod:`repro.codegen`).  An attached ``observer`` forces
+naive ticking unless it opts into replay, so trace collectors still see
+every cycle.
 
 The metrics layer (:meth:`SMAMachine.attach_metrics`) is *not* an
 observer: its per-cycle stall classifier and stride samplers replay in
-closed form inside ``replay_stall_cycles``, so attaching metrics keeps
-the fast path enabled and every bucket total bit-identical to naive
+closed form inside ``_replay_fast``, so attaching metrics keeps the
+fast schedulers enabled and every bucket total bit-identical to naive
 ticking (property-tested in ``tests/test_metrics.py``).
 """
 
@@ -54,21 +52,6 @@ from .access_processor import AccessProcessor, APStats
 from .descriptors import StreamEngine, StreamEngineStats
 from .execute_processor import EPStats, ExecuteProcessor
 from .store_unit import StoreUnit, StoreUnitStats
-
-#: process-wide default for the cycle fast-forward path.  ``SMAMachine.run``
-#: consults this when its ``fast_forward`` argument is ``None``; the
-#: throughput benchmark flips it to time naive ticking through unmodified
-#: harness code paths.
-FAST_FORWARD = True
-
-
-def set_fast_forward(enabled: bool) -> bool:
-    """Set the process-wide fast-forward default; returns the old value."""
-    global FAST_FORWARD
-    previous = FAST_FORWARD
-    FAST_FORWARD = bool(enabled)
-    return previous
-
 
 @dataclass
 class SMAResult:
@@ -202,10 +185,10 @@ class SMAMachine:
         self._occupancy_sum = 0
         self._occupancy_max = 0
         #: stall-attribution layer, attached via attach_metrics(); unlike
-        #: an observer it does not disable cycle fast-forward
+        #: an observer it does not force naive ticking
         self._metrics = None
         # flat queue view, built once: used by the per-cycle sampling and
-        # by the fast-forward statistics replay
+        # by the statistics replay of skipped cycles
         self._queue_list = self.queues.all_queues()
         self._load_slots = [q._slots for q in self.queues.load]
         #: speculative-AP engine (repro.core.speculation), built lazily by
@@ -228,9 +211,9 @@ class SMAMachine:
     def attach_metrics(self, samplers=None, registry=None):
         """Attach the stall-attribution metrics layer; returns it.
 
-        Unlike ``run(observer=...)`` this keeps the cycle fast-forward
-        path enabled: the classifier and any stride samplers are replayed
-        in closed form by ``replay_stall_cycles``.  ``samplers=None``
+        Unlike ``run(observer=...)`` this keeps the fast schedulers
+        enabled: the classifier and any stride samplers are replayed in
+        closed form when the clock jumps.  ``samplers=None``
         installs the default load-queue-occupancy sampler; pass an empty
         tuple for none.
         """
@@ -415,10 +398,7 @@ class SMAMachine:
     # single step needed to surface it everywhere.
 
     def _scheduler_naive(self, max_cycles, deadlock_window):
-        return self._run_joint_idle(max_cycles, deadlock_window, False)
-
-    def _scheduler_joint_idle(self, max_cycles, deadlock_window):
-        return self._run_joint_idle(max_cycles, deadlock_window, True)
+        return self._run_naive(max_cycles, deadlock_window, None)
 
     def _scheduler_event_horizon(self, max_cycles, deadlock_window):
         return self._run_event_horizon(max_cycles, deadlock_window, None)
@@ -430,7 +410,6 @@ class SMAMachine:
     #: order (the first entry is the baseline the others must match)
     SCHEDULERS = {
         "naive": _scheduler_naive,
-        "joint-idle": _scheduler_joint_idle,
         "event-horizon": _scheduler_event_horizon,
         "codegen": _scheduler_codegen,
     }
@@ -440,8 +419,7 @@ class SMAMachine:
         max_cycles: int = 10_000_000,
         deadlock_window: int = 10_000,
         observer=None,
-        fast_forward: bool | None = None,
-        scheduler: str | None = None,
+        scheduler: str = "event-horizon",
     ) -> SMAResult:
         """Run to completion; returns the collected statistics.
 
@@ -453,11 +431,9 @@ class SMAMachine:
         loop drives it and reports skipped spans through the observer's
         optional ``on_replay(machine, start_cycle, count)`` hook.
 
-        ``scheduler`` selects the simulation loop explicitly:
+        ``scheduler`` selects the simulation loop:
 
         ``"naive"``          tick every cycle (the reference loop)
-        ``"joint-idle"``     the PR 3 heuristic: jump to the next memory
-                             event after two consecutive fully-idle cycles
         ``"event-horizon"``  per-component ``next_event_time`` contracts +
                              decode-cached fast step paths (default)
         ``"codegen"``        a straight-line loop compiled for this exact
@@ -467,18 +443,12 @@ class SMAMachine:
                              event-horizon when the machine cannot be
                              specialized
 
-        When ``scheduler`` is ``None`` it is derived from ``fast_forward``
-        (which itself defaults to the module-wide :data:`FAST_FORWARD`):
-        ``True`` → event-horizon, ``False`` → naive.  Cycle counts and
-        every statistic are bit-identical across all four (see the module
-        docstring, ``tests/test_fast_forward.py`` and
+        Fault injection and enabled speculation downgrade every scheduler
+        to naive.  Cycle counts and every statistic are bit-identical
+        across all three (``tests/test_fast_forward.py`` and
         ``tests/test_event_horizon.py``).
         """
-        if scheduler is None:
-            if fast_forward is None:
-                fast_forward = FAST_FORWARD
-            scheduler = "event-horizon" if fast_forward else "naive"
-        elif scheduler not in self.SCHEDULERS:
+        if scheduler not in self.SCHEDULERS:
             raise ValueError(
                 f"unknown scheduler {scheduler!r}; expected one of "
                 + ", ".join(self.SCHEDULERS)
@@ -497,7 +467,7 @@ class SMAMachine:
             # the naive loop drives prediction/resolution faithfully
             scheduler = "naive"
         if observer is not None:
-            if scheduler in ("event-horizon", "codegen") and not getattr(
+            if scheduler != "naive" and not getattr(
                 observer, "wants_every_cycle", True
             ):
                 # generated loops carry no observer hook; a replay-aware
@@ -505,13 +475,14 @@ class SMAMachine:
                 return self._run_event_horizon(
                     max_cycles, deadlock_window, observer
                 )
-            return self._run_traced(max_cycles, deadlock_window, observer)
+            return self._run_naive(max_cycles, deadlock_window, observer)
         return self.SCHEDULERS[scheduler](self, max_cycles, deadlock_window)
 
-    def _run_joint_idle(
-        self, max_cycles: int, deadlock_window: int, fast_forward: bool
+    def _run_naive(
+        self, max_cycles: int, deadlock_window: int, observer
     ) -> SMAResult:
-        """The unobserved simulation loop (optionally fast-forwarding).
+        """The reference loop: one :meth:`step_cycle` per simulated
+        cycle, then ``observer(machine, cycle)`` when one is attached.
 
         The progress probe is kept as five plain integers — retired AP/EP
         instructions, stream requests, committed stores, memory traffic —
@@ -520,108 +491,26 @@ class SMAMachine:
         """
         step = self.step_cycle
         done = self.done
-        banked = self.banked
         ap_stats = self.ap.stats
         ep_stats = self.ep.stats
         engine_stats = self.engine.stats
         su_stats = self.store_unit.stats
-        mstats = banked.stats
+        mstats = self.banked.stats
         last_progress_cycle = 0
-        p_ap = p_ep = p_req = p_st = p_mem = p_pend = -1
-        prev_idle = False  # previous cycle was fully idle (steady stall)
+        p_ap = p_ep = p_req = p_st = p_mem = -1
         while not done():
             if self.cycle >= max_cycles:
                 raise CycleBudgetExceeded(
                     f"exceeded cycle budget {max_cycles}"
                 )
-            if prev_idle and fast_forward:
-                # the machine is in a steady stall: simulate one more
-                # cycle as the replay template, then jump to the next
-                # memory event
-                snapshot = self.stall_snapshot()
-                pending_before = banked.pending_completions
-                step()
-                if (
-                    ap_stats.instructions == p_ap
-                    and ep_stats.instructions == p_ep
-                    and engine_stats.requests_issued == p_req
-                    and su_stats.stores_issued == p_st
-                    and mstats.reads + mstats.writes == p_mem
-                    and banked.pending_completions == pending_before
-                ):
-                    # nothing moved and nothing completed: every cycle
-                    # until the next memory event repeats this one exactly
-                    horizon = min(
-                        last_progress_cycle + deadlock_window + 1,
-                        max_cycles,
-                    )
-                    target = banked.next_event_time(self.cycle - 1)
-                    if target is None or target > horizon:
-                        target = horizon
-                    skipped = target - self.cycle
-                    if skipped > 0:
-                        self.replay_stall_cycles(snapshot, skipped)
-                    if self.cycle - last_progress_cycle > deadlock_window:
-                        raise SimulationError(
-                            "deadlock: no forward progress for "
-                            f"{deadlock_window} cycles at cycle "
-                            f"{self.cycle}; " + self.deadlock_report()
-                        )
-                    continue
-                # the candidate cycle made progress (or delivered data) —
-                # fall through to the ordinary bookkeeping below
-            else:
-                step()
+            step()
+            if observer is not None:
+                observer(self, self.cycle - 1)
             mem = mstats.reads + mstats.writes
             ap_i = ap_stats.instructions
             ep_i = ep_stats.instructions
             req = engine_stats.requests_issued
             st = su_stats.stores_issued
-            if (
-                ap_i != p_ap or ep_i != p_ep or req != p_req
-                or st != p_st or mem != p_mem
-            ):
-                p_ap = ap_i
-                p_ep = ep_i
-                p_req = req
-                p_st = st
-                p_mem = mem
-                p_pend = banked.pending_completions
-                last_progress_cycle = self.cycle
-                prev_idle = False
-            else:
-                if self.cycle - last_progress_cycle > deadlock_window:
-                    raise SimulationError(
-                        "deadlock: no forward progress for "
-                        f"{deadlock_window} cycles at cycle {self.cycle}; "
-                        + self.deadlock_report()
-                    )
-                # a cycle that only delivered a completion is not idle:
-                # the filled slot can unblock a consumer next cycle
-                pending = banked.pending_completions
-                prev_idle = pending == p_pend
-                p_pend = pending
-        return self.collect_result()
-
-    def _run_traced(
-        self, max_cycles: int, deadlock_window: int, observer
-    ) -> SMAResult:
-        """Naive per-cycle loop with the observer hook (trace collectors
-        must see every cycle, so fast-forward is never applied here)."""
-        last_progress_cycle = 0
-        p_ap = p_ep = p_req = p_st = p_mem = -1
-        while not self.done():
-            if self.cycle >= max_cycles:
-                raise CycleBudgetExceeded(
-                    f"exceeded cycle budget {max_cycles}"
-                )
-            self.step_cycle()
-            observer(self, self.cycle - 1)
-            mem = self.banked.stats.reads + self.banked.stats.writes
-            ap_i = self.ap.stats.instructions
-            ep_i = self.ep.stats.instructions
-            req = self.engine.stats.requests_issued
-            st = self.store_unit.stats.stores_issued
             if (
                 ap_i != p_ap or ep_i != p_ep or req != p_req
                 or st != p_st or mem != p_mem
@@ -864,7 +753,7 @@ class SMAMachine:
             artifact.fn(self, max_cycles, deadlock_window, clock, agg)
         return self.collect_result()
 
-    # -- fast-forward statistics replay ---------------------------------
+    # -- statistics replay of skipped cycles ---------------------------
     #
     # The snapshot/replay methods below are the *replay contract*: any
     # driver that steps this machine — its own loops, or an
@@ -948,7 +837,7 @@ class SMAMachine:
     def replay_stall_cycles(self, snapshot, count: int) -> None:
         """:meth:`_replay_fast` plus the per-queue occupancy samples the
         skipped cycles would have taken, for drivers that sample every
-        cycle (the naive and joint-idle loops)."""
+        cycle (compiled cluster node steppers)."""
         for queue in self._queue_list:
             stats = queue.stats
             occupancy = len(queue)

@@ -98,7 +98,7 @@ def _configs(
 
 def table1_mix(
     n: int = 256, jobs: int = 1, cache_dir: str | None = None,
-    backend: str = "scalar", batch_workers: int = 1,
+    backend: str = "scalar",
 ) -> Table:
     """Instruction mix per kernel: how the SMA split redistributes work.
 
@@ -122,7 +122,6 @@ def table1_mix(
         joblist.append(Job("sma", spec.name, n, sma_config=sma_cfg))
     results = run_jobs(
         joblist, workers=jobs, cache_dir=cache_dir, backend=backend,
-        batch_workers=batch_workers,
     )
     for spec, scalar, sma in zip(specs, results[::2], results[1::2]):
         t.add_row(
@@ -150,7 +149,7 @@ def table1_mix(
 def table2_speedup(
     n: int = 256, latency: int = 8,
     jobs: int = 1, cache_dir: str | None = None,
-    backend: str = "scalar", batch_workers: int = 1,
+    backend: str = "scalar",
 ) -> Table:
     """SMA vs scalar baseline over the whole suite (the headline result)."""
     t = Table(
@@ -171,7 +170,6 @@ def table2_speedup(
         )
     results = run_jobs(
         joblist, workers=jobs, cache_dir=cache_dir, backend=backend,
-        batch_workers=batch_workers,
     )
     for spec, scalar, sma in zip(specs, results[::2], results[1::2]):
         t.add_row(
@@ -403,7 +401,7 @@ def fig1_latency(
     latencies: Sequence[int] = (1, 2, 4, 8, 16, 32),
     kernels: Sequence[str] = LATENCY_REPS,
     jobs: int = 1, cache_dir: str | None = None,
-    backend: str = "scalar", batch_workers: int = 1,
+    backend: str = "scalar",
 ) -> Table:
     """Speedup vs memory latency: the decoupled machine's latency
     tolerance is the paper's central claim — speedup *grows* with latency
@@ -425,7 +423,6 @@ def fig1_latency(
             )
     results = run_jobs(
         joblist, workers=jobs, cache_dir=cache_dir, backend=backend,
-        batch_workers=batch_workers,
     )
     stride = 2 * len(kernels)  # jobs per latency point
     for i, latency in enumerate(latencies):
@@ -449,7 +446,7 @@ def fig2_queue_depth(
     kernels: Sequence[str] = STREAMING_REPS,
     latency: int = 8,
     jobs: int = 1, cache_dir: str | None = None,
-    backend: str = "scalar", batch_workers: int = 1,
+    backend: str = "scalar",
 ) -> Table:
     """SMA cycles vs architectural queue depth: a handful of entries
     (≈ memory latency) buys nearly all of the decoupling."""
@@ -465,7 +462,6 @@ def fig2_queue_depth(
             joblist.append(Job("sma", name, n, sma_config=sma_cfg))
     results = run_jobs(
         joblist, workers=jobs, cache_dir=cache_dir, backend=backend,
-        batch_workers=batch_workers,
     )
     width = len(kernels)
     for i, depth in enumerate(depths):
@@ -517,7 +513,7 @@ def fig4_banks(
     kernels: Sequence[str] = BANK_REPS,
     latency: int = 8,
     jobs: int = 1, cache_dir: str | None = None,
-    backend: str = "scalar", batch_workers: int = 1,
+    backend: str = "scalar",
 ) -> Table:
     """Words per cycle vs interleaving degree, for strides 1/2/5/8: the
     stride-vs-banks aliasing structure is the classic interleave result."""
@@ -533,7 +529,6 @@ def fig4_banks(
             joblist.append(Job("sma", name, n, sma_config=sma_cfg))
     results = run_jobs(
         joblist, workers=jobs, cache_dir=cache_dir, backend=backend,
-        batch_workers=batch_workers,
     )
     width = len(kernels)
     for i, nb in enumerate(banks):
@@ -557,7 +552,7 @@ def fig4_banks(
 def fig5_ablation(
     n: int = 256, kernels: Sequence[str] = ABLATION_REPS,
     jobs: int = 1, cache_dir: str | None = None,
-    backend: str = "scalar", batch_workers: int = 1,
+    backend: str = "scalar",
 ) -> Table:
     """Structured descriptors ON vs OFF (per-element DAE): the access
     processor's instruction bandwidth becomes the bottleneck without
@@ -575,7 +570,6 @@ def fig5_ablation(
         joblist.append(Job("sma-nostream", name, n, sma_config=sma_cfg))
     results = run_jobs(
         joblist, workers=jobs, cache_dir=cache_dir, backend=backend,
-        batch_workers=batch_workers,
     )
     for name, stream, elem in zip(kernels, results[::2], results[1::2]):
         t.add_row(

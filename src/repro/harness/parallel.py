@@ -262,7 +262,6 @@ def run_jobs(
     cache_dir: str | Path | None = None,
     *,
     backend: str = "scalar",
-    batch_workers: int = 1,
     service_url: str | None = None,
     timeout: float | None = None,
     retries: int | None = None,
@@ -281,13 +280,8 @@ def run_jobs(
     :func:`repro.batch.batch_eligible`) through the SoA batch engine in
     the driver process — thousands of timing configurations stepped in
     lockstep — and only the remainder through the scalar path.  Batch
-    results are flushed under the same :func:`job_key`, so a cached batch
-    sweep and a cached scalar sweep are interchangeable.
-    ``batch_workers > 1`` additionally shards the batch lane groups
-    across a fingerprint-seeded process pool (one sub-batch per worker,
-    split along saturation-class lines); results are flushed to the
-    cache as each shard lands, so a killed sweep loses at most the
-    in-flight shards.
+    results are flushed under the same :func:`job_key` as each lands, so
+    a cached batch sweep and a cached scalar sweep are interchangeable.
 
     ``backend="service"`` submits the uncached jobs to a running
     ``repro serve`` instance (``service_url`` argument, or the ambient
@@ -355,16 +349,13 @@ def run_jobs(
                 _flush(cache, job_key(jobs[i]), result, stats, inject)
 
         try:
-            ran = run_batch(
-                batch_jobs, workers=batch_workers, on_result=_land
-            )
+            ran = run_batch(batch_jobs, on_result=_land)
         except (KeyboardInterrupt, SystemExit):
             raise
         except Exception as exc:
-            # a shard failure (e.g. BrokenProcessPool from a batch
-            # worker) goes through the same charging path as the scalar
-            # pool: record the failure kind, and with retries left fall
-            # back to the scalar path — which carries the full
+            # a batch failure goes through the same charging path as the
+            # scalar pool: record the failure kind, and with retries left
+            # fall back to the scalar path — which carries the full
             # timeout/retry policy — for whatever has not landed yet
             stats.record_failure(type(exc).__name__)
             pending = [i for i in pending if results[i] is None]

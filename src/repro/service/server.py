@@ -51,9 +51,34 @@ _LOG = logging.getLogger("repro.service.server")
 #: cap on ?wait= long-polls, so a dead client cannot pin a handler
 MAX_WAIT = 300.0
 
+#: cap on a request body; larger ``Content-Length`` values get a 413
+#: before any of the body is read
+MAX_BODY = 16 * 1024 * 1024
+
 
 class _BadRequest(Exception):
-    """Maps to a 400 with the message as the error body."""
+    """Maps to an error response (400 unless ``status`` says otherwise)
+    with the message as the error body."""
+
+    def __init__(self, message: str, status: int = 400):
+        super().__init__(message)
+        self.status = status
+
+
+def _content_length(value: str) -> int:
+    """Parse a ``Content-Length`` header: ASCII digits only (no sign,
+    no whitespace or underscores), at most :data:`MAX_BODY`."""
+    if not value:
+        return 0
+    if not (value.isascii() and value.isdigit()):
+        raise _BadRequest(f"invalid Content-Length {value!r}")
+    length = int(value)
+    if length > MAX_BODY:
+        raise _BadRequest(
+            f"request body of {length} bytes exceeds the "
+            f"{MAX_BODY}-byte cap", status=413,
+        )
+    return length
 
 
 class SweepServer:
@@ -122,7 +147,14 @@ class SweepServer:
     ) -> None:
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except _BadRequest as exc:
+                    # the body was never read, so the stream cannot be
+                    # resynchronized: answer, then close the connection
+                    self._respond(writer, exc.status, {"error": str(exc)})
+                    await writer.drain()
+                    break
                 if request is None:
                     break
                 method, path, query, headers, body = request
@@ -131,7 +163,7 @@ class SweepServer:
                         writer, method, path, query, body
                     )
                 except _BadRequest as exc:
-                    self._respond(writer, 400, {"error": str(exc)})
+                    self._respond(writer, exc.status, {"error": str(exc)})
                     done = False
                 except ProtocolError as exc:
                     self._respond(writer, 400, {"error": str(exc)})
@@ -167,7 +199,7 @@ class SweepServer:
                 break
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        length = _content_length(headers.get("content-length", ""))
         body = await reader.readexactly(length) if length else b""
         split = urlsplit(target)
         query = {
@@ -185,7 +217,8 @@ class SweepServer:
         reason = {
             200: "OK", 202: "Accepted", 400: "Bad Request",
             404: "Not Found", 405: "Method Not Allowed",
-            429: "Too Many Requests", 503: "Service Unavailable",
+            413: "Content Too Large", 429: "Too Many Requests",
+            503: "Service Unavailable",
         }.get(status, "OK")
         writer.write(
             (

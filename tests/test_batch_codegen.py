@@ -3,18 +3,18 @@
 The batch lane stepper (:mod:`repro.batch.emitter`) compiles one
 straight-line numpy loop per decoded AP/EP program pair, and the
 dispatch layer adds saturation collapse (deep-queue lanes served from a
-probe run) and multi-process sharding on top.  None of that may ever
-move a number.  This suite pins:
+probe run) on top.  None of that may ever move a number.  The scalar
+machine is the reference throughout.  This suite pins:
 
-* compiled vs interpreted vs scalar equivalence on random lane grids
-  (full result dicts, per-lane stats, memory-image digests);
-* every suite kernel specializes (``compiled=True`` never falls back);
+* batch vs scalar equivalence on random lane grids, on every lane (full
+  result dicts), and per-lane stats plus full memory images against
+  the scalar machine;
+* every suite kernel specializes;
 * the saturation-collapse planner only collapses provably-dominated
   lanes, and collapsed results equal per-lane scalar reruns;
-* the fingerprint cache compiles once per program pair and falls back
-  to the interpreter (negative cache) when emission is unsupported;
-* sharded runs (``workers=2`` / ``--batch-workers``) are result- and
-  cache-interchangeable with in-driver runs;
+* the fingerprint cache compiles once per program pair; a program the
+  emitter refuses is negative-cached and its jobs run on the scalar
+  path, cache-interchangeably;
 * two dispatch regressions: speculation-enabled configs stay on the
   scalar path, and ``lod_variant`` jobs land in distinct lane groups.
 """
@@ -42,6 +42,7 @@ from repro.config import (
     SMAConfig,
     SpeculationConfig,
 )
+from repro.core import SMAMachine
 from repro.harness.jobs import (
     BatchJob,
     Job,
@@ -50,7 +51,7 @@ from repro.harness.jobs import (
     run_job,
 )
 from repro.harness.parallel import harness_policy, run_jobs
-from repro.harness.runner import _fit_memory
+from repro.harness.runner import _fit_memory, _load_inputs
 from repro.kernels import all_kernels
 
 KERNELS = ("daxpy", "tridiag", "computed_gather")
@@ -71,7 +72,7 @@ def _grid_config(latency: int, depth: int, banks: int) -> SMAConfig:
 
 
 # ---------------------------------------------------------------------------
-# compiled vs interpreted vs scalar
+# batch vs scalar
 # ---------------------------------------------------------------------------
 
 
@@ -81,20 +82,18 @@ def _grid_config(latency: int, depth: int, banks: int) -> SMAConfig:
     st.sampled_from(("sma", "sma-nostream")),
     st.lists(st.integers(1, 96), min_size=1, max_size=3, unique=True),
     st.lists(st.integers(1, 40), min_size=1, max_size=4, unique=True),
-    st.data(),
 )
-def test_random_grid_compiled_interpreted_scalar_agree(
-    kernel, machine, latencies, depths, data
+def test_random_grid_matches_scalar_on_every_lane(
+    kernel, machine, latencies, depths
 ):
     jobs = BatchJob(
         kernel, 28, machine=machine,
         latencies=tuple(latencies), queue_depths=tuple(depths),
     ).expand()
-    compiled = run_batch(jobs)
-    interpreted = run_batch(jobs, compiled=False)
-    assert compiled == interpreted
-    lane = data.draw(st.integers(0, len(jobs) - 1))
-    assert compiled[lane] == run_job(jobs[lane])
+    results = run_batch(jobs)
+    assert sorted(results) == list(range(len(jobs)))
+    for lane, job in enumerate(jobs):
+        assert results[lane] == run_job(job), f"lane {lane}: {job}"
 
 
 @pytest.mark.parametrize("machine", ["sma", "sma-nostream"])
@@ -102,11 +101,11 @@ def test_random_grid_compiled_interpreted_scalar_agree(
     "kernel", [spec.name for spec in all_kernels()]
 )
 def test_every_suite_program_specializes(kernel, machine):
-    """``compiled=True`` demands the generated stepper — it must exist
-    for every kernel in the suite, on both batch machines, and agree
-    with the scalar interpreter."""
+    """The generated stepper must exist for every kernel in the suite,
+    on both batch machines (``run_group`` raises ``Unsupported``
+    otherwise), and agree with the scalar machine."""
     job = Job(machine, kernel, 24, sma_config=_grid_config(8, 4, 8))
-    assert run_group([job], compiled=True)[0] == run_job(job)
+    assert run_group([job])[0] == run_job(job)
 
 
 def _staged_engine(kernel_name, machine, n, configs):
@@ -143,33 +142,52 @@ def _staged_engine(kernel_name, machine, n, configs):
     return kernel, layout, engine
 
 
+def _scalar_image(kernel_name, n, config):
+    """Run one config on the scalar machine; return its result dict
+    and its full final memory image."""
+    kernel, inputs = _instantiated(kernel_name, n, 12345)
+    lowered = _lowered_sma(kernel_name, n, 12345, True)
+    cfg = config.__class__(**{
+        **config.__dict__,
+        "memory": _fit_memory(config.memory, lowered.layout),
+    })
+    machine = SMAMachine(
+        lowered.access_program, lowered.execute_program, cfg
+    )
+    _load_inputs(machine, lowered.layout, kernel, inputs)
+    machine.run()
+    image = np.asarray(
+        machine.memory.dump_array(0, cfg.memory.size), dtype=np.float64
+    )
+    return run_job(Job("sma", kernel_name, n, sma_config=config)), image
+
+
+def _digest(words) -> str:
+    return hashlib.sha256(
+        np.asarray(words, dtype=np.float64).tobytes()
+    ).hexdigest()
+
+
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_compiled_memory_digests_and_lane_dicts_match(kernel):
+    """Each lane's stats and its whole memory image (the staged prefix
+    plus the untouched, still-zero rest) equal the scalar machine's."""
     depths = (1, 2, 5, 9, 33)
     configs = [_grid_config(11, depth, 4) for depth in depths]
-    spec, layout, compiled_eng = _staged_engine(kernel, "sma", 32, configs)
-    _, _, interp_eng = _staged_engine(kernel, "sma", 32, configs)
-    compiled_out = compiled_eng.run(compiled=True)
-    interp_out = interp_eng.run(compiled=False)
-    for lane in range(len(depths)):
-        assert (compiled_out.stats.lane_dict(lane)
-                == interp_out.stats.lane_dict(lane))
-        for decl in spec.arrays:
-            digests = [
-                hashlib.sha256(
-                    np.asarray(
-                        out.dump_array(
-                            lane, layout.base(decl.name), decl.size
-                        ),
-                        dtype=np.float64,
-                    ).tobytes()
-                ).hexdigest()
-                for out in (compiled_out, interp_out)
-            ]
-            assert digests[0] == digests[1], (
-                f"{kernel}.{decl.name} memory image diverges at lane "
-                f"{lane} (depth {depths[lane]})"
-            )
+    _, _, engine = _staged_engine(kernel, "sma", 32, configs)
+    out = engine.run()
+    for lane, cfg in enumerate(configs):
+        scalar, image = _scalar_image(kernel, 32, cfg)
+        lane_dict = out.stats.lane_dict(lane)
+        assert lane_dict == {key: scalar[key] for key in lane_dict}
+        staged = out.memory[lane]
+        assert staged.shape[0] <= image.shape[0]
+        full = np.zeros_like(image)
+        full[: staged.shape[0]] = staged
+        assert _digest(full) == _digest(image), (
+            f"{kernel} memory image diverges at lane {lane} "
+            f"(depth {depths[lane]})"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -238,56 +256,37 @@ def test_one_compile_serves_the_whole_grid():
     assert cache_stats.hits >= 1
 
 
-def test_unsupported_program_falls_back_to_interpreter(monkeypatch):
-    from repro.batch.emitter import LaneLoopEmitter, Unsupported
+def _program_len(kernel: str) -> int:
+    lowered = _lowered_sma(kernel, 24, 12345, True)
+    return len(lowered.access_program) + len(lowered.execute_program)
 
+
+def test_unsupported_group_runs_on_scalar_path(monkeypatch, tmp_path):
+    """A group the emitter refuses (here: a program over the emission
+    length cap) is negative-cached and left out of ``run_batch``'s
+    result; ``run_jobs(backend="batch")`` runs it on the scalar path,
+    flushing entries a later scalar sweep serves verbatim, while the
+    other group still runs batched."""
+    from repro.batch import emitter
+
+    small = BatchJob("daxpy", 24, latencies=(2, 8)).expand()
+    large = BatchJob("tridiag", 24, latencies=(2, 8)).expand()
+    jobs = small + large
+    assert _program_len("daxpy") < _program_len("tridiag")
     clear_cache()
-
-    def refuse(self):
-        raise Unsupported("forced by test")
-
-    monkeypatch.setattr(LaneLoopEmitter, "generate", refuse)
+    monkeypatch.setattr(emitter, "MAX_PROGRAM_LEN", _program_len("daxpy"))
     try:
-        jobs = BatchJob(
-            "daxpy", 24, latencies=(2, 8), queue_depths=(2, 8),
-        ).expand()
-        results = run_batch(jobs)
-        assert cache_stats.unsupported >= 1
-        for i, job in enumerate(jobs):
-            assert results[i] == run_job(job)
+        before = cache_stats.unsupported
+        assert sorted(run_batch(jobs)) == list(range(len(small)))
+        assert cache_stats.unsupported == before + 1
+        batch = run_jobs(jobs, cache_dir=tmp_path, backend="batch")
+        assert cache_stats.unsupported == before + 1  # negative-cached
+        assert batch == run_jobs(jobs, backend="scalar")
+        with harness_policy() as stats:
+            assert run_jobs(jobs, cache_dir=tmp_path) == batch
+        assert stats.hits == len(jobs)
     finally:
         clear_cache()  # drop the poisoned negative-cache entry
-
-
-# ---------------------------------------------------------------------------
-# sharding
-# ---------------------------------------------------------------------------
-
-
-def test_sharded_run_batch_matches_in_driver():
-    jobs = BatchJob(
-        "daxpy", 24, latencies=(2, 8, 32), queue_depths=(1, 4, 16),
-    ).expand()
-    jobs.extend(
-        BatchJob(
-            "tridiag", 24, latencies=(4, 16), queue_depths=(2, 8),
-        ).expand()
-    )
-    assert run_batch(jobs, workers=2) == run_batch(jobs)
-
-
-def test_run_jobs_batch_workers_cache_interchangeable(tmp_path):
-    jobs = BatchJob(
-        "daxpy", 24, latencies=(2, 8), queue_depths=(1, 4),
-    ).expand()
-    sharded = run_jobs(
-        jobs, cache_dir=tmp_path, backend="batch", batch_workers=2
-    )
-    assert sharded == run_jobs(jobs)
-    # shard-flushed entries serve a later scalar-backend sweep verbatim
-    with harness_policy() as stats:
-        assert run_jobs(jobs, cache_dir=tmp_path) == sharded
-    assert stats.hits == len(jobs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Cluster fast-forward equivalence and the R-F8 accounting fixes.
 
 The central property mirrors ``tests/test_fast_forward.py`` one level up:
-an :class:`repro.core.SMACluster` run with ``fast_forward=True`` must be
-indistinguishable from naive cycle-by-cycle ticking — cluster cycles,
+an :class:`repro.core.SMACluster` run under the default event-horizon
+scheduler must be indistinguishable from naive cycle-by-cycle ticking — cluster cycles,
 per-node finish cycles, every per-node statistic (stall counters, queue
 histograms, LOD accounting), per-node metrics bucket partitions, shared
 memory contention counters, and the final memory image.
@@ -25,6 +25,10 @@ from repro.kernels import get_kernel, lower_sma
 
 #: suite kernels with structurally diverse access patterns
 MIX_KERNELS = ("daxpy", "hydro", "tridiag", "computed_gather", "pic_gather")
+
+
+def _scheduler(fast: bool) -> str:
+    return "event-horizon" if fast else "naive"
 
 
 def _build_cluster(specs, latency, depth, banks, ports=1):
@@ -105,7 +109,7 @@ def _run_both_modes(specs, latency, depth, banks, ports=1):
     for fast in (False, True):
         cluster = _build_cluster(specs, latency, depth, banks, ports)
         metrics = cluster.attach_metrics()
-        result = cluster.run(fast_forward=fast)
+        result = cluster.run(scheduler=_scheduler(fast))
         observed.append(_observables(cluster, result, metrics))
     naive, fast = observed
     assert naive == fast
@@ -185,7 +189,7 @@ def test_finish_cycles_equal_node_cycle_counts(fast):
         get_kernel("hydro").instantiate(96, 2),      # keeps running
     ]
     cluster = _build_cluster(specs, latency=64, depth=4, banks=8)
-    result = cluster.run(fast_forward=fast)
+    result = cluster.run(scheduler=_scheduler(fast))
     assert result.finish_cycles == [n.cycles for n in result.nodes]
     assert result.finish_cycles[0] < result.finish_cycles[1]
 
@@ -199,7 +203,7 @@ def test_finish_cycles_match_between_modes():
     finishes = []
     for fast in (False, True):
         cluster = _build_cluster(specs, latency=128, depth=4, banks=8)
-        finishes.append(cluster.run(fast_forward=fast).finish_cycles)
+        finishes.append(cluster.run(scheduler=_scheduler(fast)).finish_cycles)
     assert finishes[0] == finishes[1]
 
 

@@ -203,9 +203,9 @@ class TestFallbacks:
 
 
 class TestRegistry:
-    def test_four_registered_schedulers(self):
+    def test_three_registered_schedulers(self):
         assert list(SMAMachine.SCHEDULERS) == [
-            "naive", "joint-idle", "event-horizon", "codegen"
+            "naive", "event-horizon", "codegen"
         ]
         for name, entry in SMAMachine.SCHEDULERS.items():
             assert callable(entry), name

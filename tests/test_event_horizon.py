@@ -3,8 +3,8 @@
 Two layers of guarantees:
 
 **Equivalence** — running the same machine (or cluster) under every
-registered scheduler (``"naive"``, ``"joint-idle"``,
-``"event-horizon"`` and the program-specialized ``"codegen"`` backend)
+registered scheduler (``"naive"``, ``"event-horizon"`` and the
+program-specialized ``"codegen"`` backend)
 must produce bit-identical observables: cycle counts, every stall
 counter, LOD accounting, queue occupancy statistics (samples, sums,
 maxima, full histograms — exercising the lazy event-driven accounting
@@ -108,7 +108,7 @@ def test_schedulers_identical_on_suite_kernels(name, latency, depth):
 
 def test_schedulers_identical_with_metrics_attached():
     """The event-horizon replay must drive the metrics classifier's
-    closed-form replay exactly like the joint-idle path does."""
+    closed-form replay to the same buckets naive ticking counts."""
     kernel, inputs = get_kernel("tridiag").instantiate(48)
     obs = _run_all_schedulers(
         kernel, inputs, latency=64, depth=2, banks=8, metrics=True

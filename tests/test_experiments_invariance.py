@@ -1,7 +1,7 @@
 """Experiment-number invariance guard.
 
-The event-horizon scheduler, the joint-idle fast-forward and every
-hot-loop fast path are *pure performance* changes: no measured R-T/R-F
+The event-horizon scheduler, the codegen backend and every hot-loop
+fast path are *pure performance* changes: no measured R-T/R-F
 number may move.  ``golden_experiments.json`` pins every experiment
 table — columns and all row values — at a reduced problem size;
 this suite replays the same calls and compares exactly (a JSON

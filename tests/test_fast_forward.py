@@ -1,11 +1,11 @@
-"""Fast-forward equivalence: the accelerated simulation loop must be
+"""Fast-forward equivalence: the default simulation loop must be
 indistinguishable from naive cycle-by-cycle ticking.
 
 The property at the heart of this module runs the same machine twice —
-``fast_forward=False`` (one Python iteration per simulated cycle, the
-seed behaviour) and ``fast_forward=True`` (idle stretches replayed in
-closed form) — and requires *every* observable statistic to be
-bit-identical: cycle counts, stall-cause counters, LOD accounting,
+``scheduler="naive"`` (one Python iteration per simulated cycle, the
+reference loop) and the default ``scheduler="event-horizon"`` (idle
+stretches replayed in closed form) — and requires *every* observable
+statistic to be bit-identical: cycle counts, stall-cause counters, LOD accounting,
 memory traffic and utilization, and each queue's full occupancy
 histogram.  This is what licenses keeping ``tests/golden_cycles.json``
 unchanged while the simulator got faster.
@@ -36,6 +36,10 @@ from repro.kernels import (
 #: suite kernels with structurally diverse access patterns (streams,
 #: recurrence, gather, loss-of-decoupling)
 SUITE_REPS = ("daxpy", "hydro", "tridiag", "computed_gather", "pic_gather")
+
+
+def _scheduler(fast: bool) -> str:
+    return "event-horizon" if fast else "naive"
 
 
 def _machine(kernel, inputs, latency, depth, banks):
@@ -84,7 +88,7 @@ def _run_both_modes(kernel, inputs, latency, depth, banks):
     observed = []
     for fast in (False, True):
         machine = _machine(kernel, inputs, latency, depth, banks)
-        result = machine.run(fast_forward=fast)
+        result = machine.run(scheduler=_scheduler(fast))
         observed.append(_observables(machine, result))
     naive, fast = observed
     assert naive == fast
@@ -159,7 +163,7 @@ def test_fast_forward_identical_without_streams():
             lowered.access_program, lowered.execute_program, cfg
         )
         _load_inputs(machine, lowered.layout, kernel, inputs)
-        result = machine.run(fast_forward=fast)
+        result = machine.run(scheduler=_scheduler(fast))
         observed.append(_observables(machine, result))
     assert observed[0] == observed[1]
 
@@ -171,7 +175,7 @@ def test_fast_forward_identical_without_streams():
 
 def test_observer_sees_every_cycle():
     """An attached observer must receive one call per simulated cycle,
-    in order, even when fast-forward is globally enabled."""
+    in order, even under the default fast scheduler."""
     kernel, inputs = get_kernel("daxpy").instantiate(32)
     machine = _machine(kernel, inputs, latency=64, depth=8, banks=8)
     seen = []
@@ -180,7 +184,7 @@ def test_observer_sees_every_cycle():
 
     # and the traced run matches the fast run's statistics exactly
     fast = _machine(kernel, inputs, latency=64, depth=8, banks=8)
-    assert fast.run(fast_forward=True).to_dict() == result.to_dict()
+    assert fast.run().to_dict() == result.to_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +234,11 @@ def _starved_machine():
 def test_deadlock_detected_identically(fast):
     machine = _starved_machine()
     with pytest.raises(SimulationError, match="deadlock"):
-        machine.run(deadlock_window=100, fast_forward=fast)
+        machine.run(deadlock_window=100, scheduler=_scheduler(fast))
     # the deadlock must fire at the same cycle with the same accounting
     reference = _starved_machine()
     with pytest.raises(SimulationError):
-        reference.run(deadlock_window=100, fast_forward=not fast)
+        reference.run(deadlock_window=100, scheduler=_scheduler(not fast))
     assert machine.cycle == reference.cycle
     assert dict(machine.ep.stats.stall_cycles) == dict(
         reference.ep.stats.stall_cycles
@@ -245,11 +249,11 @@ def test_deadlock_detected_identically(fast):
 def test_cycle_budget_detected_identically(fast):
     machine = _starved_machine()
     with pytest.raises(SimulationError, match="budget"):
-        machine.run(max_cycles=60, deadlock_window=1000, fast_forward=fast)
+        machine.run(max_cycles=60, deadlock_window=1000, scheduler=_scheduler(fast))
     reference = _starved_machine()
     with pytest.raises(SimulationError, match="budget"):
         reference.run(
-            max_cycles=60, deadlock_window=1000, fast_forward=not fast
+            max_cycles=60, deadlock_window=1000, scheduler=_scheduler(not fast)
         )
     assert machine.cycle == reference.cycle
     assert dict(machine.ep.stats.stall_cycles) == dict(

@@ -282,20 +282,15 @@ class TestHarnessRegressions:
             )
         assert stats.executed == 0 and stats.hits == 1
 
-    def test_batch_shard_failure_goes_through_charging_path(
-        self, monkeypatch
-    ):
-        # a BrokenProcessPool out of a sharded batch worker used to
-        # propagate without a retry charge or a stats.record_failure
-        # entry; now it is charged and the sweep falls back to the
-        # scalar path with the policy intact
-        from concurrent.futures.process import BrokenProcessPool
-
+    def test_batch_failure_goes_through_charging_path(self, monkeypatch):
+        # an exception out of the batch backend is charged like a pool
+        # failure (a stats.record_failure entry plus a retry) and the
+        # sweep falls back to the scalar path with the policy intact
         from repro import batch as batch_mod
         from repro.harness import harness_policy
 
-        def exploding_run_batch(jobs, workers=1, on_result=None):
-            raise BrokenProcessPool("batch shard worker died")
+        def exploding_run_batch(jobs, on_result=None):
+            raise MemoryError("lane arrays too large")
 
         monkeypatch.setattr(batch_mod, "run_batch", exploding_run_batch)
         jobs = [
@@ -306,13 +301,13 @@ class TestHarnessRegressions:
             results = run_jobs(jobs, backend="batch", retries=1,
                                backoff=0.0)
         assert results[0]["cycles"] > 0 and results[1]["cycles"] > 0
-        assert stats.failures.get("BrokenProcessPool") == 1
+        assert stats.failures.get("MemoryError") == 1
         assert stats.retried == 1
         # fail-fast behavior is preserved when the budget is zero
         with harness_policy() as stats:
-            with pytest.raises(BrokenProcessPool):
+            with pytest.raises(MemoryError):
                 run_jobs(jobs, backend="batch", retries=0)
-        assert stats.failures.get("BrokenProcessPool") == 1
+        assert stats.failures.get("MemoryError") == 1
         assert stats.retried == 0
 
 

@@ -41,6 +41,7 @@ from repro.service import (
     job_to_spec,
 )
 from repro.service.protocol import jobs_from_payload
+from repro.service.server import MAX_BODY
 from repro.service.slices import run_job_slice, sliceable
 from repro.service.store import result_digest
 
@@ -491,6 +492,56 @@ class TestServiceEndToEnd:
 
         result = drive(scenario())
         assert canonical(result) == canonical(run_job(Job("sma", "daxpy", 48)))
+
+    @pytest.mark.parametrize("length, status, error", [
+        ("abc", 400, "invalid Content-Length"),
+        ("-5", 400, "invalid Content-Length"),
+        ("+5", 400, "invalid Content-Length"),
+        ("1_0", 400, "invalid Content-Length"),
+        (str(MAX_BODY + 1), 413, "byte cap"),
+    ])
+    def test_bad_content_length_answered_not_crashed(
+        self, tmp_path, length, status, error
+    ):
+        """Regression: a non-integer or negative ``Content-Length`` used
+        to kill the connection handler with a ValueError (empty reply),
+        and any size was read.  Now the head is answered with 400/413
+        before any body is read, the connection closes, and the server
+        keeps serving."""
+
+        async def raw(request: bytes) -> bytes:
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(request)
+            await writer.drain()
+            reply = await asyncio.wait_for(reader.read(), timeout=30)
+            writer.close()
+            await writer.wait_closed()
+            return reply
+
+        async def scenario():
+            nonlocal host, port
+            server = SweepServer(ContentStore(tmp_path / "store"), workers=1)
+            host, port = await server.start()
+            try:
+                bad = await raw(
+                    b"POST /v1/jobs HTTP/1.1\r\n"
+                    b"Content-Length: " + length.encode() + b"\r\n\r\n"
+                    b'{"jobs": []}'
+                )
+                good = await raw(
+                    b"GET /v1/healthz HTTP/1.1\r\n"
+                    b"Connection: close\r\n\r\n"
+                )
+            finally:
+                await server.stop()
+            return bad, good
+
+        host = port = None
+        bad, good = drive(scenario())
+        head, _, body = bad.partition(b"\r\n\r\n")
+        assert head.startswith(f"HTTP/1.1 {status} ".encode())
+        assert error in json.loads(body)["error"]
+        assert good.startswith(b"HTTP/1.1 200 ")
 
     def test_pool_worker_kill_recovers_without_reexecution(self, tmp_path):
         """SIGKILL a pool process mid-sweep: the scheduler respawns the
