@@ -21,22 +21,19 @@ Both produce the same per-point speedup numbers and the same simulated
 cycle counts — asserted below — so the wall-clock ratio is a pure
 simulator-engineering win.
 
-A second section races the three machine schedulers (``naive`` /
-``event-horizon`` / ``codegen``) head-to-head on two regimes: the
-*low*-latency end of the sweep — where whole-machine idleness is rare
-and the event-horizon scheduler's per-component contracts and
-decode-cached step paths have to carry the win — and the high-latency
-(latency-dominated) band, where the codegen backend's specialized
-straight-line loop must beat the interpreted event-horizon loop
-:data:`CODEGEN_FLOOR` x.
+A second section races the two machine schedulers (``naive`` /
+``event-horizon``) head-to-head on the *low*-latency end of the sweep,
+where whole-machine idleness is rare and the event-horizon scheduler's
+per-component contracts and decode-cached step paths have to carry the
+win.
 
 A third section races the SoA batch engine (:mod:`repro.batch`)
-against per-point codegen on a *fine* grid — queue depths 1..64 x 50
-log-spaced latencies 1..512, 3200 distinct timing configurations of
-one kernel.  This is the regime the batch engine exists for: every
-point is a distinct config, so codegen pays its compile per point,
-while the batch engine steps all lanes in lockstep; the cost per sweep
-point must be at least :data:`BATCH_FLOOR` x lower.
+against per-point event-horizon runs (what ``backend="scalar"`` does)
+on a *fine* grid — queue depths 1..64 x 50 log-spaced latencies
+1..512, 3200 distinct timing configurations of one kernel.  This is
+the regime the batch engine exists for: the batch engine steps all
+lanes in lockstep, and its cost per sweep point must be at least
+:data:`BATCH_FLOOR` x lower.
 
 All sweeps record their throughput in ``BENCH_sim_throughput.json``
 (uploaded by CI, gated by ``scripts/check_bench_floor.py``).  Run
@@ -55,7 +52,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.codegen import compiled_loop_for
 from repro.config import MemoryConfig, SMAConfig
 from repro.core import SMAMachine
 from repro.core.cluster import SMACluster
@@ -156,27 +152,16 @@ def test_sim_throughput(capsys, monkeypatch):
 #: and the cheaper decode-cached step paths
 SCHEDULER_LATENCIES = (8, 16, 32)
 
-#: the codegen shoot-out band — the latency-dominated high end of the
-#: R-F1 sweep (the same band the harness section above runs), where the
-#: generated loop's cheap planning/jump path compounds with its cheap
-#: live-cycle body
-CODEGEN_LATENCIES = LATENCIES
-
 #: where the scheduler comparison (and ``main --smoke``) records results
 BENCH_JSON = Path(__file__).resolve().parent.parent / \
     "BENCH_sim_throughput.json"
 
-#: acceptance floors: the codegen backend must beat the interpreted
-#: event-horizon loop 3x on the full high-latency sweep; the CI smoke
-#: gates (scripts/check_bench_floor.py) assert laxer ratios to stay
-#: robust on noisy shared runners, plus event-horizon vs naive ticking
-#: on the low-latency sweep
-CODEGEN_FLOOR = 3.0
+#: CI smoke floor (scripts/check_bench_floor.py): event-horizon vs
+#: naive ticking on the low-latency sweep
 SMOKE_FLOOR = 2.0
-CODEGEN_SMOKE_FLOOR = 1.5
 
 # ---------------------------------------------------------------------------
-# batch regime: SoA lanes vs per-point codegen on a fine sweep grid
+# batch regime: SoA lanes vs per-point event-horizon on a fine sweep grid
 # ---------------------------------------------------------------------------
 
 #: the fine-sweep regime the batch engine exists for: a queue-depth
@@ -188,20 +173,17 @@ BATCH_LATENCIES = tuple(
     sorted({max(1, round(2 ** (i * 9 / 63))) for i in range(64)})
 )
 BATCH_QUEUE_DEPTHS = tuple(range(1, 65))
-#: stride through the grid for the codegen comparator (every point is a
-#: distinct config, so timing the whole grid under codegen would take
-#: minutes; a stratified subsample measures the same per-point cost)
+#: stride through the grid for the per-point comparator (timing every
+#: point one machine at a time would take minutes; a stratified
+#: subsample measures the same per-point cost)
 BATCH_SUBSAMPLE = 47
 
-#: acceptance floor (batch tentpole): the SoA engine must land at least
-#: 8x lower cost per sweep point than per-point codegen on the fine
-#: grid (codegen pays a per-config compile there — a fine grid gives
-#: every point a distinct config, so compilation cannot amortize).
-#: Measured ~13x on the reference machine; the smoke grid is small
-#: enough that numpy dispatch overhead narrows the gap, hence its laxer
-#: floor.
+#: acceptance floor: the SoA engine must land at least 8x lower cost
+#: per sweep point than per-point event-horizon runs on the fine grid.
+#: The smoke grid's lane groups are small enough that numpy dispatch
+#: overhead brings batch near its break-even, hence the laxer floor.
 BATCH_FLOOR = 8.0
-BATCH_SMOKE_FLOOR = 2.0
+BATCH_SMOKE_FLOOR = 1.0
 
 def _build_sma(name: str, latency: int, n: int) -> SMAMachine:
     kernel, inputs = get_kernel(name).instantiate(n)
@@ -221,10 +203,7 @@ def _build_sma(name: str, latency: int, n: int) -> SMAMachine:
 def _scheduler_sweep(scheduler, latencies, n, kernels, repeats):
     """Time the sweep under one scheduler; construction is excluded and
     the wall-clock is the best of ``repeats`` runs (machines are
-    single-use, so each repeat rebuilds its own set).  The codegen
-    scheduler's compile step is warmed outside the timed region — the
-    artifact cache makes compilation a once-per-(program, config) cost,
-    not a per-run cost, and ``repro profile`` attributes it separately.
+    single-use, so each repeat rebuilds its own set).
 
     Returns (per-run result digests, total simulated cycles, seconds).
     """
@@ -236,9 +215,6 @@ def _scheduler_sweep(scheduler, latencies, n, kernels, repeats):
             _build_sma(name, latency, n)
             for latency in latencies for name in kernels
         ]
-        if scheduler == "codegen":
-            for m in machines:
-                compiled_loop_for(m)
         start = time.perf_counter()
         results = [m.run(scheduler=scheduler) for m in machines]
         elapsed = time.perf_counter() - start
@@ -273,7 +249,6 @@ def _sweep_comparison(latencies, n, kernels, repeats) -> dict:
         }
     naive = schedulers["naive"]["seconds"]
     horizon = schedulers["event-horizon"]["seconds"]
-    codegen = schedulers["codegen"]["seconds"]
     return {
         "latencies": list(latencies),
         "n": n,
@@ -282,8 +257,6 @@ def _sweep_comparison(latencies, n, kernels, repeats) -> dict:
         "schedulers": schedulers,
         "ratios": {
             "event_horizon_vs_naive": round(naive / horizon, 2),
-            "codegen_vs_naive": round(naive / codegen, 2),
-            "codegen_vs_event_horizon": round(horizon / codegen, 2),
         },
     }
 
@@ -303,13 +276,11 @@ def _batch_comparison(latencies=BATCH_LATENCIES,
                       depths=BATCH_QUEUE_DEPTHS,
                       n=BATCH_N, repeats=2,
                       subsample=BATCH_SUBSAMPLE) -> dict:
-    """Race the SoA batch engine against per-point codegen on the fine
-    grid.  The batch engine runs the whole grid; codegen runs a
-    stratified subsample with its per-config compile *inside* the timed
-    region (on a fine grid every point is a distinct configuration, so
-    the compile is a real per-point cost, unlike the coarse sweeps
-    above where it amortizes).  Asserts the subsample's cycle counts
-    are identical across the two engines."""
+    """Race the SoA batch engine against per-point event-horizon runs
+    on the fine grid.  The batch engine runs the whole grid; the
+    per-point comparator runs a stratified subsample, one machine per
+    point (construction excluded from the timed region).  Asserts the
+    subsample's cycle counts are identical across the two engines."""
     from repro.batch import run_batch
     from repro.harness.jobs import BatchJob
 
@@ -327,37 +298,27 @@ def _batch_comparison(latencies=BATCH_LATENCIES,
             best_batch = elapsed
     assert len(batch_results) == len(jobs)
 
-    from repro.codegen import clear_cache
-
     sample = list(range(0, len(jobs), subsample))
-    best_cg = None
-    cg_cycles: list[int] = []
+    best_point = None
+    point_cycles: list[int] = []
     for _ in range(repeats):
         machines = [
             _build_sma_from_config(BATCH_KERNEL, jobs[i].sma_config, n)
             for i in sample
         ]
-        # a real fine sweep compiles each of its thousands of configs
-        # exactly once; clearing the artifact cache keeps each repeat
-        # paying that same once-per-config cost instead of racing a
-        # warm cache the real sweep would never have
-        clear_cache()
         start = time.perf_counter()
-        runs = []
-        for m in machines:
-            compiled_loop_for(m)
-            runs.append(m.run(scheduler="codegen"))
+        runs = [m.run(scheduler="event-horizon") for m in machines]
         elapsed = time.perf_counter() - start
-        if best_cg is None or elapsed < best_cg:
-            best_cg = elapsed
-        cg_cycles = [r.cycles for r in runs]
-    for i, cycles in zip(sample, cg_cycles):
+        if best_point is None or elapsed < best_point:
+            best_point = elapsed
+        point_cycles = [r.cycles for r in runs]
+    for i, cycles in zip(sample, point_cycles):
         assert cycles == batch_results[i]["cycles"], (
-            f"batch disagrees with codegen at grid point {i}"
+            f"batch disagrees with event-horizon at grid point {i}"
         )
 
     batch_pps = len(jobs) / best_batch
-    cg_pps = len(sample) / best_cg
+    point_pps = len(sample) / best_point
     return {
         "kernel": BATCH_KERNEL,
         "n": n,
@@ -371,39 +332,32 @@ def _batch_comparison(latencies=BATCH_LATENCIES,
             "seconds": round(best_batch, 6),
             "points_per_sec": round(batch_pps, 1),
         },
-        "codegen": {
+        "event-horizon": {
             "points": len(sample),
-            "seconds": round(best_cg, 6),
-            "points_per_sec": round(cg_pps, 1),
-            "note": "per-config compile included: every fine-grid "
-                    "point is a distinct configuration",
+            "seconds": round(best_point, 6),
+            "points_per_sec": round(point_pps, 1),
         },
         "ratios": {
-            "batch_vs_codegen": round(batch_pps / cg_pps, 2),
+            "batch_vs_event_horizon": round(batch_pps / point_pps, 2),
         },
     }
 
 
 def run_scheduler_comparison(scheduler_latencies=SCHEDULER_LATENCIES,
-                             codegen_latencies=CODEGEN_LATENCIES,
                              n=N, kernels=KERNELS, repeats=2,
                              batch_latencies=BATCH_LATENCIES,
                              batch_depths=BATCH_QUEUE_DEPTHS,
                              batch_n=BATCH_N,
                              batch_subsample=BATCH_SUBSAMPLE) -> dict:
-    """Run all three shoot-out sweeps and package the numbers for
+    """Run both shoot-out sweeps and package the numbers for
     ``BENCH_sim_throughput.json``: the low-latency regime (where the
-    event-horizon floor is asserted), the latency-dominated regime
-    (where the codegen floor is asserted), and the fine-grid regime
-    (where the batch floor is asserted)."""
+    event-horizon floor is asserted) and the fine-grid regime (where the
+    batch floor is asserted)."""
     return {
         "benchmark": "bench_sim_throughput/scheduler_comparison",
         "sweeps": {
             "scheduler": _sweep_comparison(
                 scheduler_latencies, n, kernels, repeats
-            ),
-            "codegen": _sweep_comparison(
-                codegen_latencies, n, kernels, repeats
             ),
             "batch": _batch_comparison(
                 batch_latencies, batch_depths, batch_n, repeats,
@@ -411,11 +365,9 @@ def run_scheduler_comparison(scheduler_latencies=SCHEDULER_LATENCIES,
             ),
         },
         "floors": {
-            "codegen_vs_event_horizon": CODEGEN_FLOOR,
-            "batch_vs_codegen": BATCH_FLOOR,
+            "batch_vs_event_horizon": BATCH_FLOOR,
             "smoke_event_horizon_vs_naive": SMOKE_FLOOR,
-            "smoke_codegen_vs_event_horizon": CODEGEN_SMOKE_FLOOR,
-            "smoke_batch_vs_codegen": BATCH_SMOKE_FLOOR,
+            "smoke_batch_vs_event_horizon": BATCH_SMOKE_FLOOR,
         },
     }
 
@@ -432,13 +384,13 @@ def _print_comparison(data: dict) -> None:
                   f"n={sweep['n']}, {grid['latencies']} latencies x "
                   f"{grid['queue_depths']} queue depths = "
                   f"{grid['points']} points)")
-            for engine in ("batch", "codegen"):
+            for engine in ("batch", "event-horizon"):
                 row = sweep[engine]
                 print(f"  {engine:<14}: {row['points_per_sec']:12.1f} "
                       f"points/s ({row['points']} points, "
                       f"{row['seconds']:.3f}s)")
-            print(f"  batch vs codegen            : "
-                  f"{sweep['ratios']['batch_vs_codegen']:.2f}x")
+            print(f"  batch vs event-horizon      : "
+                  f"{sweep['ratios']['batch_vs_event_horizon']:.2f}x")
             continue
         print(f"R-F1 {label} shoot-out (latencies "
               f"{tuple(sweep['latencies'])}, n={sweep['n']}, best of "
@@ -450,10 +402,6 @@ def _print_comparison(data: dict) -> None:
         ratios = sweep["ratios"]
         print(f"  event-horizon vs naive      : "
               f"{ratios['event_horizon_vs_naive']:.2f}x")
-        print(f"  codegen vs naive            : "
-              f"{ratios['codegen_vs_naive']:.2f}x")
-        print(f"  codegen vs event-horizon    : "
-              f"{ratios['codegen_vs_event_horizon']:.2f}x")
 
 
 @pytest.mark.benchmark(group="throughput")
@@ -464,15 +412,10 @@ def test_scheduler_throughput(capsys):
         print()
         _print_comparison(data)
         print(f"  (recorded in {BENCH_JSON.name})")
-    # acceptance floor (codegen tentpole): the generated straight-line
-    # loop must beat the interpreted event-horizon loop 3x on the
-    # latency-dominated band
-    assert data["sweeps"]["codegen"]["ratios"][
-        "codegen_vs_event_horizon"] >= CODEGEN_FLOOR
-    # acceptance floor (batch tentpole): the SoA engine must land >=8x
-    # lower cost per sweep point than per-point codegen on the fine grid
+    # acceptance floor: the SoA engine must land >=8x lower cost per
+    # sweep point than per-point event-horizon runs on the fine grid
     assert data["sweeps"]["batch"]["ratios"][
-        "batch_vs_codegen"] >= BATCH_FLOOR
+        "batch_vs_event_horizon"] >= BATCH_FLOOR
 
 
 def main(argv=None) -> int:
@@ -489,8 +432,8 @@ def main(argv=None) -> int:
         description="simulator scheduler throughput benchmark"
     )
     parser.add_argument("--smoke", action="store_true",
-                        help="small sweeps for CI (n=96, two latencies "
-                             "per regime)")
+                        help="small sweeps for CI (n=96, two "
+                             "latencies, 192-point batch grid)")
     parser.add_argument("--out", default=str(BENCH_JSON),
                         help="output JSON path")
     args = parser.parse_args(argv)
@@ -499,8 +442,7 @@ def main(argv=None) -> int:
             sorted({max(1, round(2 ** (i * 9 / 11))) for i in range(12)})
         )
         data = run_scheduler_comparison(
-            scheduler_latencies=(8, 32), codegen_latencies=(64, 256),
-            n=96, repeats=3,
+            scheduler_latencies=(8, 32), n=96, repeats=3,
             batch_latencies=smoke_latencies,
             batch_depths=tuple(range(1, 17)),
             batch_subsample=13,

@@ -1,8 +1,6 @@
 """Compile-once cache for program-specialized batch lane steppers.
 
-Same contract as :mod:`repro.codegen.cache`, one level up the
-throughput ladder: artifacts are keyed by everything the emitted source
-depends on —
+Artifacts are keyed by everything the emitted source depends on —
 
 * the **code fingerprint** of the simulator sources (the same
   :func:`repro.harness.parallel.code_fingerprint` that invalidates the

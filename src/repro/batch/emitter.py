@@ -1,9 +1,8 @@
 """Program-specialized lane stepper for the SoA batch engine.
 
 The emitter walks the decoded access/execute program pair *once* per
-program and writes out the exact numpy lane-stepper this program needs —
-the same fusion the scalar emitter (:mod:`repro.codegen`) applies to one
-machine, lifted to the whole lane axis:
+program and writes out the exact numpy lane-stepper this program needs,
+fused across the whole lane axis:
 
 * per-pc dispatch becomes a table of per-instruction block functions
   with opcodes, operands, queue ids, stall-cause ids and branch targets
@@ -104,10 +103,9 @@ def _addr(values):
 def runtime_namespace() -> dict:
     """Fresh globals for ``exec``-ing one generated lane stepper.
 
-    Same contract as :func:`repro.codegen.runtime.runtime_namespace`:
-    a generated body may only reach machine state through its ``engine``
-    parameter and these process-wide-stable helpers, so artifacts are
-    reusable across lane groups with the same key.
+    A generated body may only reach machine state through its
+    ``engine`` parameter and these process-wide-stable helpers, so
+    artifacts are reusable across lane groups with the same key.
     """
     return {
         "np": np,

@@ -1,56 +1,1 @@
-"""Program-specialized codegen backend (the ``"codegen"`` scheduler).
-
-Instead of interpreting the same predecoded instruction tuples millions
-of times per sweep, this package walks a machine's decoded programs and
-configuration once and emits a *straight-line* Python tick function
-specialized to that (program, config) pair: operands and immediates
-become literals, statically impossible queue/ready checks disappear,
-and the per-component ``tick_fast`` bodies are fused into a single
-loop.  The source is compiled once and cached (see
-:mod:`repro.codegen.cache`); :class:`repro.core.SMAMachine` runs the
-compiled function through the ``"codegen"`` entry of its scheduler
-registry.
-
-Bit-identity with naive ticking — cycles, memory image, every stats
-bucket — is property-tested in ``tests/test_event_horizon.py``; the
-emitter contract is documented in ARCHITECTURE section 18.
-"""
-
-from .cache import (
-    CodegenArtifact,
-    artifact_key,
-    cached_artifacts,
-    clear_cache,
-    get_or_compile,
-    stats,
-)
-from .emitter import BaseEmitter, MachineLoopEmitter, NodeStepEmitter, \
-    Unsupported
-
-
-def compiled_loop_for(machine) -> CodegenArtifact | None:
-    """Compiled whole-run loop for a standalone machine (or ``None``
-    when the program cannot be specialized)."""
-    return get_or_compile(machine, "loop")
-
-
-def compiled_step_for(machine) -> CodegenArtifact | None:
-    """Compiled one-cycle step function for a cluster node (or
-    ``None`` when the program cannot be specialized)."""
-    return get_or_compile(machine, "step")
-
-
-__all__ = [
-    "BaseEmitter",
-    "CodegenArtifact",
-    "MachineLoopEmitter",
-    "NodeStepEmitter",
-    "Unsupported",
-    "artifact_key",
-    "cached_artifacts",
-    "clear_cache",
-    "compiled_loop_for",
-    "compiled_step_for",
-    "get_or_compile",
-    "stats",
-]
+"""Placeholder package for :mod:`repro.codegen.cache` (see there)."""

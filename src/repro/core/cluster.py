@@ -43,7 +43,6 @@ from __future__ import annotations
 
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 from ..config import SMAConfig
 from ..errors import CycleBudgetExceeded, SimulationError
@@ -170,23 +169,6 @@ class SMACluster:
                 self.finish_cycles[index] = node.cycle
         self.cycle = now + 1
 
-    def _compiled_steppers(self) -> list | None:
-        """Per-node compiled step functions for the codegen scheduler.
-
-        Entries are ``None`` for nodes the emitter cannot specialize
-        (those fall back to the interpreted fast step); the whole list is
-        ``None`` — reverting the run to plain event-horizon stepping —
-        when a memory observer is attached, because generated bodies read
-        the functional store directly and would bypass the observer
-        hook.
-        """
-        if self.memory.observer is not None:
-            return None
-        from ..codegen import compiled_step_for
-
-        steppers = [compiled_step_for(node) for node in self.nodes]
-        return [art.fn if art is not None else None for art in steppers]
-
     def step_cycles(self, count: int) -> int:
         """Advance up to ``count`` cluster cycles, stopping early when
         the cluster is done; returns the number of cycles advanced.
@@ -259,11 +241,8 @@ class SMACluster:
         ``scheduler`` picks the loop exactly as in
         :meth:`SMAMachine.run` — any key of
         :data:`SMAMachine.SCHEDULERS` (``"naive"`` /
-        ``"event-horizon"`` / ``"codegen"``).  The codegen scheduler
-        runs the event-horizon loop with each node's interpreted step
-        replaced by its compiled program-specialized step function
-        (unspecializable nodes fall back per node).  Cycle counts and
-        every per-node statistic are bit-identical across all three.
+        ``"event-horizon"``).  Cycle counts and every per-node
+        statistic are bit-identical across both.
         """
         if scheduler not in SMAMachine.SCHEDULERS:
             raise ValueError(
@@ -280,54 +259,33 @@ class SMACluster:
             # see SMAMachine.run: the fast loops bypass the speculation
             # hooks, so speculative clusters run under naive ticking
             scheduler = "naive"
-        if scheduler == "codegen":
-            self._run_event_horizon(
-                max_cycles, deadlock_window,
-                steppers=self._compiled_steppers(),
-            )
-        elif scheduler == "event-horizon":
+        if scheduler == "event-horizon":
             self._run_event_horizon(max_cycles, deadlock_window)
         else:
             self._run_naive(max_cycles, deadlock_window)
         return self._collect()
 
     def _run_event_horizon(
-        self, max_cycles: int, deadlock_window: int,
-        steppers: list | None = None,
+        self, max_cycles: int, deadlock_window: int
     ) -> None:
         """Contract-driven cluster loop on the fast step paths.
 
-        Every node without a compiled stepper runs under its own
-        :meth:`SMAMachine.lazy_occupancy` bracket and steps through
-        :func:`_fast_node_step`; its jumps replay through
-        ``_replay_fast``.  The codegen scheduler passes ``steppers`` —
-        each node's compiled program-specialized step function, which
-        samples its queues every cycle — and such nodes replay through
-        ``replay_stall_cycles`` instead.  Each bracket flushes up to its
+        Every node runs under its own :meth:`SMAMachine.lazy_occupancy`
+        bracket, steps through :func:`_fast_node_step` and replays its
+        jumps through ``_replay_fast``.  Each bracket flushes up to its
         node's own cycle, which stops at the node's finish cycle.
         """
-        nodes = self.nodes
-        if steppers is None:
-            steppers = [None] * len(nodes)
-        steps = []
-        replays = []
         with ExitStack() as brackets:
-            for node, fn in zip(nodes, steppers):
-                if fn is None:
-                    clock, _agg = brackets.enter_context(
-                        node.lazy_occupancy()
-                    )
-                    steps.append(_fast_node_step(node, clock))
-                    replays.append(node._replay_fast)
-                else:
-                    steps.append(partial(fn, node))
-                    replays.append(node.replay_stall_cycles)
-            self._event_horizon_loop(
-                max_cycles, deadlock_window, steps, replays
-            )
+            steps = [
+                _fast_node_step(
+                    node, brackets.enter_context(node.lazy_occupancy())
+                )
+                for node in self.nodes
+            ]
+            self._event_horizon_loop(max_cycles, deadlock_window, steps)
 
     def _event_horizon_loop(
-        self, max_cycles: int, deadlock_window: int, steps, replays
+        self, max_cycles: int, deadlock_window: int, steps
     ) -> None:
         """The cluster cycle of :meth:`_step_all` with per-node
         ``steps[i](now)`` in place of ``step_cycle``, plus contract-driven
@@ -422,7 +380,7 @@ class SMACluster:
                 if count > 0:
                     for i, snapshot in snapshots:
                         if live[i]:
-                            replays[i](snapshot, count)
+                            nodes[i]._replay_fast(snapshot, count)
                     self.cycle += count
             if self.cycle - last_progress > deadlock_window:
                 raise SimulationError(

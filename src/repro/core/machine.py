@@ -19,20 +19,18 @@ feeds), and the stall-cause breakdown in the exception message says which.
 
 **Schedulers.**  ``run`` picks one of the loops in
 :data:`SMAMachine.SCHEDULERS`.  ``"naive"`` ticks every cycle and is the
-reference every other loop must match bit for bit.  The default,
+reference the fast loop must match bit for bit.  The default,
 ``"event-horizon"``, steps through decode-cached fast paths and, when
 every unit is stalled, asks each component for the next cycle at which
 it can make progress (its ``next_event_time`` contract), jumps the clock
 there and replays the skipped cycles' statistic increments in closed
-form.  ``"codegen"`` runs the same structure compiled for one (program,
-config) pair (:mod:`repro.codegen`).  An attached ``observer`` forces
-naive ticking unless it opts into replay, so trace collectors still see
-every cycle.
+form.  An attached ``observer`` forces naive ticking unless it opts
+into replay, so trace collectors still see every cycle.
 
 The metrics layer (:meth:`SMAMachine.attach_metrics`) is *not* an
 observer: its per-cycle stall classifier and stride samplers replay in
-closed form inside ``_replay_fast``, so attaching metrics keeps the
-fast schedulers enabled and every bucket total bit-identical to naive
+closed form inside ``_replay_fast``, so attaching metrics keeps
+event-horizon enabled and every bucket total bit-identical to naive
 ticking (property-tested in ``tests/test_metrics.py``).
 """
 
@@ -211,9 +209,9 @@ class SMAMachine:
     def attach_metrics(self, samplers=None, registry=None):
         """Attach the stall-attribution metrics layer; returns it.
 
-        Unlike ``run(observer=...)`` this keeps the fast schedulers
-        enabled: the classifier and any stride samplers are replayed in
-        closed form when the clock jumps.  ``samplers=None``
+        Unlike ``run(observer=...)`` this keeps the event-horizon
+        scheduler enabled: the classifier and any stride samplers are
+        replayed in closed form when the clock jumps.  ``samplers=None``
         installs the default load-queue-occupancy sampler; pass an empty
         tuple for none.
         """
@@ -403,15 +401,11 @@ class SMAMachine:
     def _scheduler_event_horizon(self, max_cycles, deadlock_window):
         return self._run_event_horizon(max_cycles, deadlock_window, None)
 
-    def _scheduler_codegen(self, max_cycles, deadlock_window):
-        return self._run_codegen(max_cycles, deadlock_window)
-
     #: accepted values for ``run(scheduler=...)``, in reference-first
     #: order (the first entry is the baseline the others must match)
     SCHEDULERS = {
         "naive": _scheduler_naive,
         "event-horizon": _scheduler_event_horizon,
-        "codegen": _scheduler_codegen,
     }
 
     def run(
@@ -436,16 +430,10 @@ class SMAMachine:
         ``"naive"``          tick every cycle (the reference loop)
         ``"event-horizon"``  per-component ``next_event_time`` contracts +
                              decode-cached fast step paths (default)
-        ``"codegen"``        a straight-line loop compiled for this exact
-                             (program, config) pair — event-horizon
-                             structure with all dispatch specialized away
-                             (:mod:`repro.codegen`); falls back to
-                             event-horizon when the machine cannot be
-                             specialized
 
-        Fault injection and enabled speculation downgrade every scheduler
+        Fault injection and enabled speculation downgrade event-horizon
         to naive.  Cycle counts and every statistic are bit-identical
-        across all three (``tests/test_fast_forward.py`` and
+        across both (``tests/test_fast_forward.py`` and
         ``tests/test_event_horizon.py``).
         """
         if scheduler not in self.SCHEDULERS:
@@ -454,15 +442,15 @@ class SMAMachine:
                 + ", ".join(self.SCHEDULERS)
             )
         if self.banked.fault_injection and scheduler != "naive":
-            # the fast schedulers inline memory acceptance (tick_fast /
-            # step_fast) and jump over cycles in which the deterministic
+            # event-horizon inlines memory acceptance (tick_fast /
+            # step_fast) and jumps over cycles in which the deterministic
             # fault predicate would have changed its verdict; only naive
             # ticking exercises the injected faults faithfully
             scheduler = "naive"
         spec_cfg = self.config.speculation
         if (spec_cfg is not None and spec_cfg.enabled
                 and scheduler != "naive"):
-            # like faults: the fast schedulers inline queue pops and hoist
+            # like faults: event-horizon inlines queue pops and hoists
             # the done() predicate, bypassing the speculation hooks; only
             # the naive loop drives prediction/resolution faithfully
             scheduler = "naive"
@@ -470,8 +458,7 @@ class SMAMachine:
             if scheduler != "naive" and not getattr(
                 observer, "wants_every_cycle", True
             ):
-                # generated loops carry no observer hook; a replay-aware
-                # observer rides the interpreted event-horizon loop
+                # a replay-aware observer rides the event-horizon loop
                 return self._run_event_horizon(
                     max_cycles, deadlock_window, observer
                 )
@@ -550,7 +537,7 @@ class SMAMachine:
     @contextmanager
     def lazy_occupancy(self):
         """Bracket a fast loop with lazy (event-driven) queue-occupancy
-        accounting; yields ``(clock, agg)``.
+        accounting; yields the ``clock`` cell.
 
         Occupancies change only on reserve/pop, so each mutation flushes
         the elapsed span at the stable length instead of every cycle
@@ -566,7 +553,7 @@ class SMAMachine:
         occ_before = [q.stats.occupancy_sum for q in load_queues]
         agg = self.queues.begin_lazy_sampling(clock)
         try:
-            yield clock, agg
+            yield clock
         finally:
             clock[0] = self.cycle
             self.queues.end_lazy_sampling(agg)
@@ -582,7 +569,7 @@ class SMAMachine:
     ) -> SMAResult:
         """The event-horizon simulation loop (see module docstring),
         under lazy occupancy accounting (:meth:`lazy_occupancy`)."""
-        with self.lazy_occupancy() as (clock, _agg):
+        with self.lazy_occupancy() as clock:
             self._event_horizon_loop(
                 max_cycles, deadlock_window, clock, observer
             )
@@ -712,47 +699,6 @@ class SMAMachine:
                     + self.deadlock_report()
                 )
 
-    # -- program-specialized codegen scheduling --------------------------
-
-    def _run_codegen(self, max_cycles: int, deadlock_window: int) -> SMAResult:
-        """Run the straight-line loop compiled for this (program, config)
-        pair (see :mod:`repro.codegen`).
-
-        The compiled artifact bakes in exactly what the emitter saw, so
-        this falls back to the interpreted event-horizon loop — which is
-        bit-identical — whenever the live machine strays from that:
-        per-cycle metrics or a memory observer attached, a swapped
-        program object (the decode caches would be stale), an operand
-        shape the emitter cannot specialize, or a mid-flight start (live
-        stream descriptors, pending store addresses or in-flight
-        completions at entry — e.g. a restored snapshot or a resumed
-        budget abort).  The compiled loop fully localizes the async
-        subsystems' bookkeeping, so it requires them quiescent when it
-        takes over; register/queue/memory contents may be anything.
-        Fault injection never reaches here: :meth:`run` downgrades
-        every non-naive scheduler to naive first.
-        """
-        artifact = None
-        if (
-            self._metrics is None
-            and self.memory.observer is None
-            and self.ap.program is self.ap._prog
-            and self.ep.program is self.ep._prog
-            and not self.engine._streams
-            and not self.queues.store_addr._slots
-            and not self.banked._completions
-        ):
-            from ..codegen import compiled_loop_for
-
-            artifact = compiled_loop_for(self)
-        if artifact is None:
-            return self._run_event_horizon(max_cycles, deadlock_window, None)
-        # the generated loop mutates queues with inlined flush bodies
-        # against the bracket's clock cell and load-queue aggregate
-        with self.lazy_occupancy() as (clock, agg):
-            artifact.fn(self, max_cycles, deadlock_window, clock, agg)
-        return self.collect_result()
-
     # -- statistics replay of skipped cycles ---------------------------
     #
     # The snapshot/replay methods below are the *replay contract*: any
@@ -760,8 +706,7 @@ class SMAMachine:
     # :class:`repro.core.cluster.SMACluster` that owns the shared memory
     # tick — may snapshot before a candidate idle cycle and, once the
     # cycle is confirmed fully idle, replay it ``count`` times in closed
-    # form (``_replay_fast`` under lazy occupancy accounting,
-    # ``replay_stall_cycles`` under per-cycle sampling).  None of them
+    # form (``_replay_fast``, under lazy occupancy accounting).  Neither
     # touches the memory model, so a non-owning cluster node replays
     # exactly like a standalone machine.
 
@@ -796,8 +741,7 @@ class SMAMachine:
         the same counters by exactly the same amounts.  Per-queue
         occupancy is not sampled here: the lazy accounting of
         :meth:`lazy_occupancy` covers a skipped span on the queue's next
-        flush (contents are constant across it); per-cycle sampling
-        drivers use :meth:`replay_stall_cycles`.
+        flush (contents are constant across it).
         """
         ap_before, lod_before, ep_before, blocked_before, \
             dwait_before, mwait_before, queues_before = snapshot
@@ -833,18 +777,3 @@ class SMAMachine:
             # skipped cycles are self.cycle .. self.cycle + count - 1
             self._metrics.on_replay(self, self.cycle, count)
         self.cycle += count
-
-    def replay_stall_cycles(self, snapshot, count: int) -> None:
-        """:meth:`_replay_fast` plus the per-queue occupancy samples the
-        skipped cycles would have taken, for drivers that sample every
-        cycle (compiled cluster node steppers)."""
-        for queue in self._queue_list:
-            stats = queue.stats
-            occupancy = len(queue)
-            stats.samples += count
-            stats.occupancy_sum += occupancy * count
-            # the template cycle sampled this occupancy, so the bucket
-            # already exists (and occupancy_max already covers it)
-            stats.histogram[occupancy] += count
-        self._occupancy_sum += sum(map(len, self._load_slots)) * count
-        self._replay_fast(snapshot, count)

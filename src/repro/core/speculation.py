@@ -54,7 +54,7 @@ Mechanism
   attributed to exactly one bucket.
 
 The speculative run itself uses only the reference (naive) scheduler —
-the fast schedulers downgrade, exactly as fault injection does; the
+event-horizon downgrades, exactly as it does for fault injection; the
 oracle pre-run is non-speculative and fault-free, so it takes the fast
 path.  Streams are speculation barriers: a descriptor op stalls
 (``spec_barrier``) until all frames resolve.
@@ -143,10 +143,8 @@ def build_oracle(machine, max_cycles: int = 10_000_000) -> dict:
     taps = {"eaq": [], "ebq": []}
     ref.queues.ep_to_ap_data._tap = taps["eaq"]
     ref.queues.ep_to_ap_branch._tap = taps["ebq"]
-    # named explicitly rather than left to run()'s default: the taps
-    # record inside OperandQueue.pop, which the event-horizon step_fast
-    # paths call for every EAQ/EBQ pop, but the codegen loop inlines its
-    # pops and would bypass _tap
+    # the taps record inside OperandQueue.pop, which the event-horizon
+    # step_fast paths call for every EAQ/EBQ pop
     ref.run(max_cycles=max_cycles, scheduler="event-horizon")
     return taps
 

@@ -201,10 +201,10 @@ class FaultyMemory(BankedMemory):
       reserved-but-never-filled queue slot.  A correct watchdog then
       reports a deadlock (``SimulationError``) instead of hanging.
 
-    The fast schedulers bypass these overrides (they inline memory
-    acceptance and jump over cycles where the predicate would change its
-    verdict), so the run loops downgrade to ``naive`` whenever
-    :attr:`fault_injection` is set.
+    The event-horizon scheduler bypasses these overrides (it inlines
+    memory acceptance and jumps over cycles where the predicate would
+    change its verdict), so the run loops downgrade to ``naive``
+    whenever :attr:`fault_injection` is set.
     """
 
     fault_injection = True

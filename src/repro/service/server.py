@@ -55,6 +55,15 @@ MAX_WAIT = 300.0
 #: before any of the body is read
 MAX_BODY = 16 * 1024 * 1024
 
+#: caps on the request head: bytes per line (request line included) and
+#: header count; either overrun gets a 431
+MAX_HEADER_LINE = 8 * 1024
+MAX_HEADERS = 100
+
+#: seconds a whole request (head and body) may take to arrive; a stalled
+#: read gets a 408
+READ_TIMEOUT = 30.0
+
 
 class _BadRequest(Exception):
     """Maps to an error response (400 unless ``status`` says otherwise)
@@ -79,6 +88,22 @@ def _content_length(value: str) -> int:
             f"{MAX_BODY}-byte cap", status=413,
         )
     return length
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """One line of the request head, at most :data:`MAX_HEADER_LINE`
+    bytes."""
+    try:
+        line = await reader.readline()
+    except ValueError:
+        # longer than the stream's own buffer limit
+        line = None
+    if line is None or len(line) > MAX_HEADER_LINE:
+        raise _BadRequest(
+            f"request line or header exceeds {MAX_HEADER_LINE} bytes",
+            status=431,
+        )
+    return line
 
 
 class SweepServer:
@@ -185,7 +210,19 @@ class SweepServer:
                 pass
 
     async def _read_request(self, reader: asyncio.StreamReader):
-        line = await reader.readline()
+        """Read one request within :data:`READ_TIMEOUT` seconds."""
+        try:
+            return await asyncio.wait_for(
+                self._read_message(reader), READ_TIMEOUT
+            )
+        except asyncio.TimeoutError:
+            raise _BadRequest(
+                f"request not received within {READ_TIMEOUT:g}s",
+                status=408,
+            ) from None
+
+    async def _read_message(self, reader: asyncio.StreamReader):
+        line = await _read_line(reader)
         if not line or line in (b"\r\n", b"\n"):
             return None
         parts = line.decode("latin-1").split()
@@ -193,12 +230,16 @@ class SweepServer:
             return None
         method, target = parts[0].upper(), parts[1]
         headers: dict[str, str] = {}
-        while True:
-            raw = await reader.readline()
+        for _ in range(MAX_HEADERS + 1):
+            raw = await _read_line(reader)
             if raw in (b"\r\n", b"\n", b""):
                 break
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
+        else:
+            raise _BadRequest(
+                f"more than {MAX_HEADERS} header fields", status=431
+            )
         length = _content_length(headers.get("content-length", ""))
         body = await reader.readexactly(length) if length else b""
         split = urlsplit(target)
@@ -217,7 +258,9 @@ class SweepServer:
         reason = {
             200: "OK", 202: "Accepted", 400: "Bad Request",
             404: "Not Found", 405: "Method Not Allowed",
-            413: "Content Too Large", 429: "Too Many Requests",
+            408: "Request Timeout", 413: "Content Too Large",
+            429: "Too Many Requests",
+            431: "Request Header Fields Too Large",
             503: "Service Unavailable",
         }.get(status, "OK")
         writer.write(

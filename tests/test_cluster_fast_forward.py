@@ -148,7 +148,7 @@ def test_cluster_fast_forward_identical_on_daxpy_grid(nodes, latency):
     _run_both_modes(specs, latency, depth=8, banks=16)
 
 
-@pytest.mark.parametrize("scheduler", ("event-horizon", "codegen"))
+@pytest.mark.parametrize("scheduler", ("event-horizon",))
 def test_early_finishing_node_queue_stats_match_naive(scheduler):
     """Each node's lazy occupancy clock stops at the node's own finish
     cycle: a short daxpy beside a longer hydro keeps per-queue samples,

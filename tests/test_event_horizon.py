@@ -3,8 +3,7 @@
 Two layers of guarantees:
 
 **Equivalence** — running the same machine (or cluster) under every
-registered scheduler (``"naive"``, ``"event-horizon"`` and the
-program-specialized ``"codegen"`` backend)
+registered scheduler (``"naive"`` and ``"event-horizon"``)
 must produce bit-identical observables: cycle counts, every stall
 counter, LOD accounting, queue occupancy statistics (samples, sums,
 maxima, full histograms — exercising the lazy event-driven accounting
@@ -28,13 +27,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import MemoryConfig, QueueConfig, SMAConfig
+from repro.config import FaultConfig, MemoryConfig, QueueConfig, SMAConfig
 from repro.core import SMACluster, SMAMachine
 from repro.core.descriptors import StreamDescriptor, StreamEngine, StreamKind
 from repro.core.store_unit import StoreUnit
 from repro.errors import SimulationError
+from repro.harness.runner import _fit_memory, _load_inputs
 from repro.isa import assemble
-from repro.kernels import get_kernel
+from repro.kernels import get_kernel, lower_sma
 from repro.memory import BankedMemory, MainMemory
 from repro.queues import QueueFile
 
@@ -117,12 +117,68 @@ def test_schedulers_identical_with_metrics_attached():
     assert sum(breakdown.values()) == obs["cycle"]
 
 
+def test_two_registered_schedulers():
+    assert list(SCHEDULERS) == ["naive", "event-horizon"]
+    for name, entry in SCHEDULERS.items():
+        assert callable(entry), name
+
+
 def test_unknown_scheduler_rejected():
     machine = _machine(
         *get_kernel("daxpy").instantiate(8), latency=4, depth=4, banks=4
     )
     with pytest.raises(ValueError, match="unknown scheduler"):
         machine.run(scheduler="speculative")
+
+
+def _daxpy(faults=None):
+    kernel, inputs = get_kernel("daxpy").instantiate(24, 0)
+    lowered = lower_sma(kernel)
+    cfg = SMAConfig(
+        memory=_fit_memory(MemoryConfig(latency=8, bank_busy=4),
+                           lowered.layout),
+        faults=faults,
+    )
+    machine = SMAMachine(
+        lowered.access_program, lowered.execute_program, cfg
+    )
+    _load_inputs(machine, lowered.layout, kernel, inputs)
+    return machine
+
+
+def test_fault_injection_downgrades_to_naive():
+    faults = FaultConfig(reject_prob=0.2, seed=7)
+    faulted = _daxpy(faults)
+    got = faulted.run(scheduler="event-horizon")
+    reference = _daxpy(faults)
+    want = reference.run(scheduler="naive")
+    assert _full_observables(faulted, got) == \
+        _full_observables(reference, want)
+
+
+def test_resumed_budget_abort_stays_bit_identical():
+    reference = _daxpy()
+    want = reference.run(scheduler="naive")
+    machine = _daxpy()
+    with pytest.raises(SimulationError, match="cycle budget"):
+        machine.run(max_cycles=want.cycles // 2, scheduler="event-horizon")
+    # resumes with live streams and in-flight completions
+    got = machine.run(scheduler="event-horizon")
+    assert _full_observables(machine, got) == \
+        _full_observables(reference, want)
+
+
+def test_restored_snapshot_stays_bit_identical():
+    reference = _daxpy()
+    want = reference.run(scheduler="naive")
+    donor = _daxpy()
+    with pytest.raises(SimulationError, match="cycle budget"):
+        donor.run(max_cycles=want.cycles // 2, scheduler="naive")
+    machine = _daxpy()
+    machine.restore(donor.snapshot())
+    got = machine.run(scheduler="event-horizon")
+    assert _full_observables(machine, got) == \
+        _full_observables(reference, want)
 
 
 @pytest.mark.parametrize("scheduler", SCHEDULERS)

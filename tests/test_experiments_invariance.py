@@ -1,8 +1,8 @@
 """Experiment-number invariance guard.
 
-The event-horizon scheduler, the codegen backend and every hot-loop
-fast path are *pure performance* changes: no measured R-T/R-F
-number may move.  ``golden_experiments.json`` pins every experiment
+The event-horizon scheduler and every hot-loop fast path are *pure
+performance* changes: no measured R-T/R-F number may move.
+``golden_experiments.json`` pins every experiment
 table — columns and all row values — at a reduced problem size;
 this suite replays the same calls and compares exactly (a JSON
 round-trip on the live table normalizes tuples to lists, nothing else).

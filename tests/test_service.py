@@ -13,6 +13,7 @@ must cost at most one retry (never a wrong or lost result).
 import asyncio
 import json
 import signal
+import socket
 import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
@@ -41,7 +42,8 @@ from repro.service import (
     job_to_spec,
 )
 from repro.service.protocol import jobs_from_payload
-from repro.service.server import MAX_BODY
+from repro.service import server as server_module
+from repro.service.server import MAX_BODY, MAX_HEADER_LINE, MAX_HEADERS
 from repro.service.slices import run_job_slice, sliceable
 from repro.service.store import result_digest
 
@@ -385,6 +387,54 @@ class TestScheduler:
         drive(scenario())
 
 
+def _exchange(host, port, request: bytes) -> bytes:
+    """Send ``request`` on a fresh connection; return every byte the
+    server sends before closing it.  A reset after the reply (the server
+    closing with request bytes still unread) ends the read like EOF."""
+    chunks = []
+    with socket.create_connection((host, port), timeout=30) as sock:
+        sock.sendall(request)
+        while True:
+            try:
+                chunk = sock.recv(65536)
+            except ConnectionResetError:
+                break
+            if not chunk:
+                break
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _bad_then_good(tmp_path, request: bytes) -> tuple[bytes, bytes]:
+    """Replies of a fresh server to ``request`` and then to a health
+    probe on a second connection."""
+
+    async def scenario():
+        server = SweepServer(ContentStore(tmp_path / "store"), workers=1)
+        host, port = await server.start()
+        loop = asyncio.get_running_loop()
+        try:
+            bad = await loop.run_in_executor(
+                None, _exchange, host, port, request
+            )
+            good = await loop.run_in_executor(
+                None, _exchange, host, port,
+                b"GET /v1/healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+            )
+        finally:
+            await server.stop()
+        return bad, good
+
+    return drive(scenario())
+
+
+def _assert_answered(bad: bytes, good: bytes, status: int, error: str):
+    head, _, body = bad.partition(b"\r\n\r\n")
+    assert head.startswith(f"HTTP/1.1 {status} ".encode())
+    assert error in json.loads(body)["error"]
+    assert good.startswith(b"HTTP/1.1 200 ")
+
+
 def _client_run(url, jobs, landed=None, timeout=240):
     client = ServiceClient(url)
     return client.run(
@@ -508,40 +558,45 @@ class TestServiceEndToEnd:
         and any size was read.  Now the head is answered with 400/413
         before any body is read, the connection closes, and the server
         keeps serving."""
+        bad, good = _bad_then_good(
+            tmp_path,
+            b"POST /v1/jobs HTTP/1.1\r\n"
+            b"Content-Length: " + length.encode() + b"\r\n\r\n"
+            b'{"jobs": []}',
+        )
+        _assert_answered(bad, good, status, error)
 
-        async def raw(request: bytes) -> bytes:
-            reader, writer = await asyncio.open_connection(host, port)
-            writer.write(request)
-            await writer.drain()
-            reply = await asyncio.wait_for(reader.read(), timeout=30)
-            writer.close()
-            await writer.wait_closed()
-            return reply
+    @pytest.mark.parametrize("request_bytes, error", [
+        (b"GET /v1/healthz HTTP/1.1\r\nX-Pad: "
+         + b"a" * MAX_HEADER_LINE + b"\r\n\r\n", "exceeds"),
+        # longer than the 64 KiB StreamReader limit: readline itself
+        # raises instead of returning the line
+        (b"GET /v1/healthz HTTP/1.1\r\nX-Pad: "
+         + b"a" * (80 * 1024) + b"\r\n\r\n", "exceeds"),
+        (b"GET /" + b"a" * MAX_HEADER_LINE + b" HTTP/1.1\r\n\r\n",
+         "exceeds"),
+        (b"GET /v1/healthz HTTP/1.1\r\n"
+         + b"X-Pad: 1\r\n" * (MAX_HEADERS + 1) + b"\r\n", "header fields"),
+    ], ids=["long-header", "over-stream-limit", "long-request-line",
+            "too-many-headers"])
+    def test_oversized_head_answered_431(self, tmp_path, request_bytes,
+                                         error):
+        """Regression: a header line over the stream limit used to kill
+        the handler with a ValueError (empty reply), and any number of
+        header lines was read.  Now an over-long line or too many
+        headers gets 431, the connection closes, and the server keeps
+        serving."""
+        bad, good = _bad_then_good(tmp_path, request_bytes)
+        _assert_answered(bad, good, 431, error)
 
-        async def scenario():
-            nonlocal host, port
-            server = SweepServer(ContentStore(tmp_path / "store"), workers=1)
-            host, port = await server.start()
-            try:
-                bad = await raw(
-                    b"POST /v1/jobs HTTP/1.1\r\n"
-                    b"Content-Length: " + length.encode() + b"\r\n\r\n"
-                    b'{"jobs": []}'
-                )
-                good = await raw(
-                    b"GET /v1/healthz HTTP/1.1\r\n"
-                    b"Connection: close\r\n\r\n"
-                )
-            finally:
-                await server.stop()
-            return bad, good
-
-        host = port = None
-        bad, good = drive(scenario())
-        head, _, body = bad.partition(b"\r\n\r\n")
-        assert head.startswith(f"HTTP/1.1 {status} ".encode())
-        assert error in json.loads(body)["error"]
-        assert good.startswith(b"HTTP/1.1 200 ")
+    def test_stalled_request_answered_408(self, tmp_path, monkeypatch):
+        """Regression: a head that never finished held the connection
+        open indefinitely.  Now it gets 408 after ``READ_TIMEOUT``."""
+        monkeypatch.setattr(server_module, "READ_TIMEOUT", 0.2)
+        bad, good = _bad_then_good(
+            tmp_path, b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\n"
+        )
+        _assert_answered(bad, good, 408, "not received within")
 
     def test_pool_worker_kill_recovers_without_reexecution(self, tmp_path):
         """SIGKILL a pool process mid-sweep: the scheduler respawns the

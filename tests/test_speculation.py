@@ -167,7 +167,7 @@ class TestScheduling:
         want = _build(
             "computed_gather", None, SpeculationConfig(mode="perfect")
         ).run(scheduler="naive")
-        got = machine.run(scheduler="codegen")  # silently downgraded
+        got = machine.run(scheduler="event-horizon")  # silently downgraded
         assert got.cycles == want.cycles
         assert got.speculation == want.speculation
 

@@ -191,7 +191,6 @@ def _forbid_fast_loops(monkeypatch):
         raise AssertionError("fast loop used for a naive-only config")
 
     monkeypatch.setattr(SMAMachine, "_run_event_horizon", refuse)
-    monkeypatch.setattr(SMAMachine, "_run_codegen", refuse)
     monkeypatch.setattr(SMACluster, "_run_event_horizon", refuse)
 
 
