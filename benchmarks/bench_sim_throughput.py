@@ -24,7 +24,7 @@ simulator-engineering win.
 A second section races the two machine schedulers (``naive`` /
 ``event-horizon``) head-to-head on the *low*-latency end of the sweep,
 where whole-machine idleness is rare and the event-horizon scheduler's
-per-component contracts and decode-cached step paths have to carry the
+decode-cached step paths, not its memory-event jumps, have to carry the
 win.
 
 A third section races the SoA batch engine (:mod:`repro.batch`)
@@ -148,8 +148,8 @@ def test_sim_throughput(capsys, monkeypatch):
 # ---------------------------------------------------------------------------
 
 #: the low-latency end of the R-F1 sweep — the regime where whole-machine
-#: idleness is rare, so any win must come from per-component horizons
-#: and the cheaper decode-cached step paths
+#: idleness is rare, so any win must come from the cheaper decode-cached
+#: step paths rather than clock jumps
 SCHEDULER_LATENCIES = (8, 16, 32)
 
 #: where the scheduler comparison (and ``main --smoke``) records results

@@ -396,25 +396,33 @@ def cmd_submit(args) -> int:
     return 0
 
 
+#: largest ``repro batch`` grid, per axis and in total: a mistyped range
+#: fails with one line instead of building millions of points
+MAX_GRID_POINTS = 100_000
+
+
 def _parse_axis(spec: str) -> tuple[int, ...]:
     """Parse one grid axis: comma-separated positive ints and inclusive
-    ``LO-HI`` ranges, e.g. ``"1,2,4-8,16"``."""
+    ``LO-HI`` ranges, e.g. ``"1,2,4-8,16"``; at most
+    :data:`MAX_GRID_POINTS` values."""
     values: list[int] = []
     for item in spec.split(","):
         item = item.strip()
         lo, dash, hi = item.partition("-")
         try:
-            if dash:
-                start, stop = int(lo), int(hi)
-                if start > stop:
-                    raise ValueError
-                values.extend(range(start, stop + 1))
-            else:
-                values.append(int(item))
+            start = int(lo if dash else item)
+            stop = int(hi) if dash else start
+            if start > stop:
+                raise ValueError
         except ValueError:
             raise ValueError(
                 f"bad grid axis item {item!r}; expected an int or LO-HI"
             ) from None
+        if len(values) + stop - start + 1 > MAX_GRID_POINTS:
+            raise ValueError(
+                f"grid axis {spec!r} exceeds {MAX_GRID_POINTS} points"
+            )
+        values.extend(range(start, stop + 1))
     if any(v < 1 for v in values):
         raise ValueError(f"grid axis values must be >= 1: {spec!r}")
     return tuple(values)
@@ -436,6 +444,13 @@ def cmd_batch(args) -> int:
             bank_counts=_parse_axis(args.banks),
             check=args.check,
         )
+        points = (len(batch_job.latencies) * len(batch_job.queue_depths)
+                  * len(batch_job.bank_counts))
+        if points > MAX_GRID_POINTS:
+            raise ValueError(
+                f"batch grid has {points} points; the limit is "
+                f"{MAX_GRID_POINTS}"
+            )
     except (KeyError, ValueError, KernelError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -488,7 +503,7 @@ def cmd_checkpoint(args) -> int:
     from pathlib import Path
 
     from .core import snapshot_digest
-    from .errors import CheckpointError
+    from .errors import CheckpointError, KernelError
 
     if args.action == "save":
         machine, spec = _checkpoint_machine(
@@ -524,7 +539,7 @@ def cmd_checkpoint(args) -> int:
             payload["latency"],
         )
         machine.restore(payload["snapshot"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, KernelError, ValueError) as exc:
         print(f"malformed checkpoint {args.file}: {exc}", file=sys.stderr)
         return 2
     except CheckpointError as exc:

@@ -474,35 +474,6 @@ class AccessProcessor:
         self._stalled_on = None
         self.pc = pc + 1
 
-    def next_event_time(self, now: int) -> int | None:
-        """Event-horizon contract: earliest cycle the AP can act with
-        every other component frozen.
-
-        Unstalled and not halted: ``now``.  Stalled on ``memory_busy``:
-        the target bank's free time — the one stall that time alone
-        resolves (the stalled ``ldq``'s address is recomputable because
-        pc and registers are frozen while stalled; the per-cycle port
-        limit is ignored, which is conservative).  Every other stall
-        cause waits on another component, hence ``None``.
-        """
-        if self.halted:
-            return None
-        cause = self._stalled_on
-        if cause is None:
-            return now
-        if cause != "memory_busy":
-            return None
-        entry = self._decoded[self.pc]
-        if entry[0] != _A_LDQ:  # pragma: no cover - memory_busy => ldq
-            return now
-        registers = self.registers
-        tag, payload = entry[2]
-        a = registers[payload] if tag == _O_REG else payload
-        tag, payload = entry[3]
-        b = registers[payload] if tag == _O_REG else payload
-        t = self._bank_free[as_address(a + b) % self._nbanks]
-        return t if t > now else now
-
     def _retire(self, new_pc: int | None = None) -> None:
         self.stats.instructions += 1
         self._stalled_on = None

@@ -247,6 +247,10 @@ def _restore_memory(memory, data: dict) -> None:
         )
     memory._words[:] = 0.0
     for addr, value in data["nonzero"]:
+        if not isinstance(addr, int) or not 0 <= addr < memory.size:
+            raise CheckpointError(
+                f"memory word address {addr!r} outside [0, {memory.size})"
+            )
         memory._words[addr] = value
 
 
@@ -459,7 +463,15 @@ def snapshot_machine(machine, include_memory: bool = True) -> dict:
     return data
 
 
+def _require_object(data) -> None:
+    if not isinstance(data, dict):
+        raise CheckpointError(
+            f"snapshot must be a JSON object, got {type(data).__name__}"
+        )
+
+
 def restore_machine(machine, data: dict, include_memory: bool = True) -> None:
+    _require_object(data)
     if data.get("version") != FORMAT_VERSION:
         raise CheckpointError(
             f"unsupported snapshot version {data.get('version')!r}"
@@ -540,6 +552,7 @@ def snapshot_cluster(cluster) -> dict:
 
 
 def restore_cluster(cluster, data: dict) -> None:
+    _require_object(data)
     if data.get("version") != FORMAT_VERSION:
         raise CheckpointError(
             f"unsupported snapshot version {data.get('version')!r}"

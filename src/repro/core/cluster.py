@@ -24,12 +24,13 @@ event-horizon run: each node steps through the decode-cached
 ``tick_fast``/``step_fast`` twins, keeps its queue-occupancy statistics
 by lazy (event-driven) accounting on its own clock — stopped at that
 node's own finish cycle, so early finishers are not over-sampled — and,
-once the cluster horizon (the minimum over the running nodes'
-``next_event_time`` contracts) confirms that nothing can move, the shared
-clock jumps and every running node replays the skipped span in closed
-form through ``_replay_fast``.  Finished nodes are frozen (naive ticking
-does not step them either), and the shared memory needs no replay of its
-own: a jointly-idle cycle issues no accesses, so bank-free times and port
+once a template cycle confirms that every running node is stalled, the
+shared clock jumps to the shared memory's next event (a completion or a
+bank freeing, :meth:`repro.memory.BankedMemory.next_event_time`) and
+every running node replays the skipped span in closed form through
+``_replay_fast``.  Finished nodes are frozen (naive ticking does not step
+them either), and the shared memory needs no replay of its own: a
+jointly-idle cycle issues no accesses, so bank-free times and port
 counters are static until the next completion.  Everything stays
 bit-identical to naive ticking (property-tested in
 ``tests/test_cluster_fast_forward.py``), including per-node metrics
@@ -213,23 +214,6 @@ class SMACluster:
             part for node in self.nodes for part in node.progress_state()
         ) + (self.banked.stats.reads + self.banked.stats.writes,)
 
-    def next_event_time(self, now: int) -> int | None:
-        """Event-horizon contract for the whole cluster: the earliest
-        cycle at which *any* node can make externally visible progress,
-        i.e. the minimum over the running nodes' own horizons (each of
-        which already includes the shared memory's earliest pending
-        completion).  The explicit completion clamp covers the tail case
-        where every node has halted but shared-memory traffic is still
-        draining."""
-        best = self.banked.next_completion_time(now)
-        for node in self.nodes:
-            if node.done():
-                continue
-            t = node.next_event_time(now)
-            if t is not None and (best is None or t < best):
-                best = t
-        return best
-
     def run(
         self,
         max_cycles: int = 10_000_000,
@@ -268,7 +252,7 @@ class SMACluster:
     def _run_event_horizon(
         self, max_cycles: int, deadlock_window: int
     ) -> None:
-        """Contract-driven cluster loop on the fast step paths.
+        """Memory-event-driven cluster loop on the fast step paths.
 
         Every node runs under its own :meth:`SMAMachine.lazy_occupancy`
         bracket, steps through :func:`_fast_node_step` and replays its
@@ -288,22 +272,22 @@ class SMACluster:
         self, max_cycles: int, deadlock_window: int, steps
     ) -> None:
         """The cluster cycle of :meth:`_step_all` with per-node
-        ``steps[i](now)`` in place of ``step_cycle``, plus contract-driven
-        jumps.
+        ``steps[i](now)`` in place of ``step_cycle``, plus jumps to the
+        shared memory's next event.
 
         A jump is only *planned* when every running node has both
-        processors halted or stalled and the cluster horizon lies beyond
-        ``now + 1``; it is only *taken* after one live template cycle
-        confirms that nothing moved, and the horizon is then recomputed
-        from the post-template stall causes (pre-step flags can be stale),
-        so a contract miss downgrades to a skipped jump, never a wrong
-        one.  Progress is probed as one sum of monotone counters (node
+        processors halted or stalled and the memory's next event lies
+        beyond ``now + 1``; it is only *taken* after one live template
+        cycle confirms that nothing moved (pre-step flags can be stale),
+        and then runs to the memory's next event after the template.
+        Progress is probed as one sum of monotone counters (node
         retirements, requests, stores and memory traffic), which changes
         exactly when the :meth:`_progress_state` tuple would.
         """
         nodes = self.nodes
         n = len(nodes)
         banked = self.banked
+        horizon = banked.next_event_time
         comps = banked._completions
         mstats = banked.stats
         finish = self.finish_cycles
@@ -333,7 +317,7 @@ class SMACluster:
                     ):
                         break
             else:
-                t = self.next_event_time(now)
+                t = horizon(now)
                 if t is None or t > now + 1:
                     snapshots = [
                         (i, nodes[i].stall_snapshot())
@@ -370,7 +354,7 @@ class SMACluster:
                 last_progress = self.cycle
                 continue
             if snapshots is not None:
-                target = self.next_event_time(self.cycle)
+                target = horizon(self.cycle)
                 bound = last_progress + deadlock_window + 1
                 if target is None or target > bound:
                     target = bound

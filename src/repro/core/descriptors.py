@@ -372,52 +372,3 @@ class StreamEngine:
         else:
             self.stats.requests_issued += issued
         return issued
-
-    def next_event_time(self, now: int) -> int | None:
-        """Event-horizon contract: earliest cycle the engine can issue a
-        request with every other component frozen.
-
-        Per live descriptor: a missing index, a full target queue or an
-        empty data queue can only be resolved by *another* component
-        (memory completion, EP pop/push, store unit), so such a
-        descriptor contributes nothing; a descriptor blocked only by its
-        target bank's busy window wakes when the bank frees.  The
-        per-cycle port limit resets every cycle and is ignored
-        (conservative: at worst this returns ``now`` and the scheduler
-        does not jump).  Unlike ``tick``/``_try_issue`` this probe is
-        pure — it never records stall notes.
-        """
-        streams = self._streams
-        if not streams:
-            return None
-        bank_free = self.memory._bank_free_at
-        nbanks = self.memory.config.num_banks
-        best = None
-        for desc in streams:
-            if desc.indexed:
-                islots = desc.index_queue._slots
-                if not islots or not islots[0].filled:
-                    continue  # waiting on an index producer
-                idx = islots[0].value
-                i = int(idx)
-                if i != idx:
-                    # malformed index: force a live step so the reference
-                    # issue path raises its usual diagnostic
-                    return now
-                addr = desc.base + i
-            else:
-                addr = desc.base + desc.issued * desc.stride
-            if desc.produces:
-                target = desc.target
-                if len(target._slots) >= target.capacity:
-                    continue  # waiting on the consumer
-            else:
-                dslots = desc.data_queue._slots
-                if not dslots or not dslots[0].filled:
-                    continue  # waiting on the data producer
-            t = bank_free[addr % nbanks]
-            if t <= now:
-                return now
-            if best is None or t < best:
-                best = t
-        return best

@@ -338,15 +338,6 @@ class ExecuteProcessor:
         self._stalled_on = None
         self.pc = pc + 1
 
-    def next_event_time(self, now: int) -> int | None:
-        """Event-horizon contract: the EP can act immediately unless it
-        is halted or stalled — and an EP stall (``lq_empty``/``q_full``)
-        is only ever resolved by another component filling or draining
-        the queue, never by the passage of time."""
-        if self.halted or self._stalled_on is not None:
-            return None
-        return now
-
     def _retire(self, new_pc: int | None = None) -> None:
         self.stats.instructions += 1
         self._stalled_on = None

@@ -21,11 +21,13 @@ feeds), and the stall-cause breakdown in the exception message says which.
 :data:`SMAMachine.SCHEDULERS`.  ``"naive"`` ticks every cycle and is the
 reference the fast loop must match bit for bit.  The default,
 ``"event-horizon"``, steps through decode-cached fast paths and, when
-every unit is stalled, asks each component for the next cycle at which
-it can make progress (its ``next_event_time`` contract), jumps the clock
-there and replays the skipped cycles' statistic increments in closed
-form.  An attached ``observer`` forces naive ticking unless it opts
-into replay, so trace collectors still see every cycle.
+both processors are stalled, jumps the clock to the next memory event —
+a load maturing or a busy bank freeing
+(:meth:`repro.memory.BankedMemory.next_event_time`) — replaying the
+skipped cycles' statistic increments in closed form.  The processors
+talk only through queues, so once both are stalled nothing but the
+memory can wake the machine.  An attached ``observer`` forces naive
+ticking, so trace collectors see every cycle.
 
 The metrics layer (:meth:`SMAMachine.attach_metrics`) is *not* an
 observer: its per-cycle stall classifier and stride samplers replay in
@@ -399,7 +401,7 @@ class SMAMachine:
         return self._run_naive(max_cycles, deadlock_window, None)
 
     def _scheduler_event_horizon(self, max_cycles, deadlock_window):
-        return self._run_event_horizon(max_cycles, deadlock_window, None)
+        return self._run_event_horizon(max_cycles, deadlock_window)
 
     #: accepted values for ``run(scheduler=...)``, in reference-first
     #: order (the first entry is the baseline the others must match)
@@ -420,16 +422,14 @@ class SMAMachine:
         ``observer``, if given, is called as ``observer(machine, cycle)``
         once per simulated cycle after all components have stepped — the
         hook the trace collectors in :mod:`repro.trace` attach through.
-        An observer forces naive ticking unless it declares
-        ``wants_every_cycle = False``, in which case the event-horizon
-        loop drives it and reports skipped spans through the observer's
-        optional ``on_replay(machine, start_cycle, count)`` hook.
+        An observer forces naive ticking.
 
         ``scheduler`` selects the simulation loop:
 
         ``"naive"``          tick every cycle (the reference loop)
-        ``"event-horizon"``  per-component ``next_event_time`` contracts +
-                             decode-cached fast step paths (default)
+        ``"event-horizon"``  memory-event jumps over jointly stalled
+                             spans + decode-cached fast step paths
+                             (default)
 
         Fault injection and enabled speculation downgrade event-horizon
         to naive.  Cycle counts and every statistic are bit-identical
@@ -455,13 +455,6 @@ class SMAMachine:
             # the naive loop drives prediction/resolution faithfully
             scheduler = "naive"
         if observer is not None:
-            if scheduler != "naive" and not getattr(
-                observer, "wants_every_cycle", True
-            ):
-                # a replay-aware observer rides the event-horizon loop
-                return self._run_event_horizon(
-                    max_cycles, deadlock_window, observer
-                )
             return self._run_naive(max_cycles, deadlock_window, observer)
         return self.SCHEDULERS[scheduler](self, max_cycles, deadlock_window)
 
@@ -514,26 +507,6 @@ class SMAMachine:
 
     # -- event-horizon scheduling ----------------------------------------
 
-    def next_event_time(self, now: int) -> int | None:
-        """Earliest cycle ≥ ``now`` at which any component of this
-        machine can make externally visible progress, assuming nothing
-        external intervenes: the minimum over the per-component
-        ``next_event_time`` contracts (AP, EP, stream engine, store
-        unit) and the earliest pending memory completion.  ``None``
-        means no amount of waiting will wake this machine — only an
-        external event (for a cluster node: another node's memory
-        traffic completing) can."""
-        best = self.banked.next_completion_time(now)
-        for t in (
-            self.ap.next_event_time(now),
-            self.ep.next_event_time(now),
-            self.engine.next_event_time(now),
-            self.store_unit.next_event_time(now),
-        ):
-            if t is not None and (best is None or t < best):
-                best = t
-        return best
-
     @contextmanager
     def lazy_occupancy(self):
         """Bracket a fast loop with lazy (event-driven) queue-occupancy
@@ -565,30 +538,28 @@ class SMAMachine:
                 self._occupancy_max = agg.max_seen
 
     def _run_event_horizon(
-        self, max_cycles: int, deadlock_window: int, observer
+        self, max_cycles: int, deadlock_window: int
     ) -> SMAResult:
         """The event-horizon simulation loop (see module docstring),
         under lazy occupancy accounting (:meth:`lazy_occupancy`)."""
         with self.lazy_occupancy() as clock:
-            self._event_horizon_loop(
-                max_cycles, deadlock_window, clock, observer
-            )
+            self._event_horizon_loop(max_cycles, deadlock_window, clock)
         return self.collect_result()
 
     def _event_horizon_loop(
-        self, max_cycles: int, deadlock_window: int, clock, observer
+        self, max_cycles: int, deadlock_window: int, clock
     ) -> None:
         """One fused loop: inlined completion delivery, fast component
-        step paths, and contract-driven jumps.
+        step paths, and jumps to the next memory event.
 
         A jump is only *planned* when this cycle delivered no completion
         and both processors ended their last step blocked; it is only
         *taken* after one live template cycle confirms (via the plain-int
-        progress probe) that nothing moved, and the horizon is then
-        recomputed from the post-template stall causes — the pre-step
-        flags can be stale (e.g. the EP freed a queue after the AP's
-        stall was recorded), so a contract miss downgrades to a skipped
-        jump, never a wrong one.  Replayed spans go through
+        progress probe) that nothing moved — the pre-step flags can be
+        stale (e.g. the EP freed a queue after the AP's stall was
+        recorded).  The jump target is the memory's next event after the
+        template: with every unit idle and nothing issued, no state but
+        the memory's changes with time.  Replayed spans go through
         :meth:`_replay_fast`; deadlock and cycle-budget diagnostics fire
         at the identical cycle as naive ticking.
         """
@@ -612,12 +583,8 @@ class SMAMachine:
         engine_tick = engine.tick_fast
         ap_step = ap.step_fast
         ep_step = ep.step_fast
-        horizon = self.next_event_time
+        horizon = banked.next_event_time
         take_snapshot = self.stall_snapshot
-        on_replay = (
-            getattr(observer, "on_replay", None)
-            if observer is not None else None
-        )
         last_progress_cycle = 0
         p_ap = p_ep = p_req = p_st = p_mem = -1
         # the loop condition is self.done() spelled out over the hoisted
@@ -661,8 +628,6 @@ class SMAMachine:
             if metrics is not None:
                 metrics.on_cycle(self, now)
             self.cycle = now + 1
-            if observer is not None:
-                observer(self, now)
             mem = mstats.reads + mstats.writes
             ap_i = ap_stats.instructions
             ep_i = ep_stats.instructions
@@ -688,10 +653,7 @@ class SMAMachine:
                     target = max_cycles
                 count = target - self.cycle
                 if count > 0:
-                    start = self.cycle
                     self._replay_fast(snapshot, count)
-                    if on_replay is not None:
-                        on_replay(self, start, count)
             if self.cycle - last_progress_cycle > deadlock_window:
                 raise SimulationError(
                     "deadlock: no forward progress for "

@@ -119,24 +119,3 @@ class StoreUnit:
     def pending(self) -> bool:
         """True while addressed stores are waiting to be paired."""
         return not self.queues.store_addr.is_empty()
-
-    def next_event_time(self, now: int) -> int | None:
-        """Event-horizon contract: earliest cycle this unit can issue a
-        store with every other component frozen.
-
-        ``None`` while either half of the pair is missing — only another
-        component (AP pushing an address, EP pushing data) can change
-        that.  With a ready pair the only self-resolving obstacle is the
-        target bank's busy window.  The per-cycle port limit is ignored:
-        it resets every cycle, so it can delay the store only within the
-        current cycle, and returning ``now`` then is conservative (the
-        scheduler simply does not jump).
-        """
-        saq = self.queues.store_addr
-        if not saq.head_ready():
-            return None
-        addr, data_queue_index = saq.peek()
-        if not self.queues.store_data[data_queue_index].head_ready():
-            return None
-        t = self.memory.bank_free_time(addr)
-        return t if t > now else now

@@ -206,27 +206,30 @@ def _cache_path(cache_dir: Path, key: str) -> Path:
 
 
 def _load_cache_entry(path: Path, stats: SweepStats) -> dict | None:
-    """Read one cache entry; undecodable entries are quarantined to
-    ``<name>.corrupt`` (outside the ``*.json`` namespace, so they are
-    never probed again) and treated as a miss."""
+    """Read one cache entry; entries that do not decode to a JSON object
+    are quarantined to ``<name>.corrupt`` (outside the ``*.json``
+    namespace, so they are never probed again) and treated as a miss."""
     try:
         text = path.read_text()
     except OSError:
         return None
     try:
-        return json.loads(text)
+        entry = json.loads(text)
     except json.JSONDecodeError:
-        quarantine = path.with_name(path.name + ".corrupt")
-        try:
-            os.replace(path, quarantine)
-        except OSError:  # pragma: no cover - racing cleanup
-            pass
-        stats.quarantined += 1
-        _LOG.warning(
-            "quarantined corrupt cache entry %s -> %s",
-            path.name, quarantine.name,
-        )
-        return None
+        entry = None
+    if isinstance(entry, dict):
+        return entry
+    quarantine = path.with_name(path.name + ".corrupt")
+    try:
+        os.replace(path, quarantine)
+    except OSError:  # pragma: no cover - racing cleanup
+        pass
+    stats.quarantined += 1
+    _LOG.warning(
+        "quarantined corrupt cache entry %s -> %s",
+        path.name, quarantine.name,
+    )
+    return None
 
 
 def _flush(

@@ -169,20 +169,26 @@ class BankedMemory:
         """True when no request is in flight."""
         return not self._completions
 
-    def next_completion_time(self, now: int) -> int | None:
-        """Cycle at which the earliest pending completion fires, or
-        ``None`` when nothing is in flight.
+    def next_event_time(self, now: int) -> int | None:
+        """Earliest cycle ≥ ``now`` at which the memory can wake a
+        stalled machine, or ``None`` when nothing is pending.
 
-        A completion is *spontaneous*: it fires regardless of what the
-        processors do, delivering a value (or store acknowledgement) that
-        can unblock a consumer.  Bank-free times, by contrast, only matter
-        to a component actually waiting on that bank — the event-horizon
-        scheduler therefore asks each waiting component for its bank
-        horizon and asks the memory only for this completion clamp."""
-        if not self._completions:
-            return None
-        t = self._completions[0][0]
-        return t if t > now else now
+        The processors talk only through queues, so once both are
+        stalled only the memory changes anything by the passage of time:
+        a completion fires (clamped to ``now`` when overdue) or a busy
+        bank frees.  Bank-free times count from ``now`` inclusive: a bank
+        that frees at ``now`` admits, at ``now``, a request it refused
+        the cycle before.  The per-cycle port limit is ignored: it
+        resets every cycle, and a confirmed-idle cycle issued nothing."""
+        best = None
+        if self._completions:
+            best = self._completions[0][0]
+            if best < now:
+                best = now
+        for t in self._bank_free_at:
+            if t >= now and (best is None or t < best):
+                best = t
+        return best
 
 
 class FaultyMemory(BankedMemory):

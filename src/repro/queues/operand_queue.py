@@ -279,20 +279,6 @@ class OperandQueue:
                 return
         raise QueueError(f"{self.name}: remove_slot on absent slot")
 
-    # -- scheduling contract ---------------------------------------------
-
-    def next_event_time(self, now: int) -> int | None:
-        """Event-horizon contract (see ARCHITECTURE section 16): the
-        earliest cycle at which this component's externally visible state
-        can change *with every other component frozen*.
-
-        A queue is entirely passive: its occupancy changes only when a
-        producer reserves or a consumer pops, and fills arrive through
-        memory completions already counted in the banked memory's own
-        horizon.  On its own a queue never wakes anyone, hence ``None``.
-        """
-        return None
-
     # -- checkpointing ----------------------------------------------------
 
     def snapshot_state(self) -> dict:

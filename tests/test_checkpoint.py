@@ -191,6 +191,29 @@ class TestCheckpointCLI:
         bad.write_text("{not json")
         assert main(["checkpoint", "load", str(bad)]) == 2
 
+        good = tmp_path / "ck.json"
+        assert main(["checkpoint", "save", "daxpy", "--n", "32",
+                     "--cycles", "10", "--out", str(good)]) == 0
+        payload = json.loads(good.read_text())
+
+        def far_word(p):
+            p["snapshot"]["memory"]["nonzero"].append([10**9, 1.0])
+
+        for mutate in (
+            lambda p: p.update(snapshot=None),
+            lambda p: p.update(snapshot=[1, 2]),
+            lambda p: p.update(n=-5),
+            far_word,
+        ):
+            tampered = json.loads(json.dumps(payload))
+            mutate(tampered)
+            bad.write_text(json.dumps(tampered))
+            capsys.readouterr()
+            assert main(["checkpoint", "load", str(bad)]) == 2
+            err = capsys.readouterr().err
+            assert len(err.strip().splitlines()) == 1, err
+            assert "Traceback" not in err
+
     def test_load_rejects_wrong_machine(self, tmp_path, capsys):
         out = tmp_path / "ck.json"
         assert main(["checkpoint", "save", "daxpy", "--n", "32",

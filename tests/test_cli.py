@@ -170,3 +170,25 @@ kernel scale(x[n], y[n]):
         path.write_text("kernel k(x[4]):\n    for i in 0 .. 4:\n        x[i] = @")
         with pytest.raises(Exception):
             main(["parse", str(path)])
+
+
+class TestBatchGridBound:
+    """``repro batch`` axes are bounded before any range is built."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--latencies", "1-30000000"],               # one huge range
+        ["--latencies", "1-60000,1-60000"],          # ranges add up
+        ["--latencies", "1-400", "--queue-depths", "1-400"],  # product
+    ])
+    def test_oversized_grid_exits_2_with_one_line(self, argv, capsys):
+        from repro.cli import MAX_GRID_POINTS
+
+        assert main(["batch", "daxpy", *argv]) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert str(MAX_GRID_POINTS) in err
+
+    def test_axis_at_the_limit_parses(self):
+        from repro.cli import MAX_GRID_POINTS, _parse_axis
+
+        assert len(_parse_axis(f"1-{MAX_GRID_POINTS}")) == MAX_GRID_POINTS

@@ -1,6 +1,6 @@
-"""Event-horizon scheduler equivalence and per-component contracts.
+"""Event-horizon scheduler equivalence and the memory horizon.
 
-Two layers of guarantees:
+Three layers of guarantees:
 
 **Equivalence** — running the same machine (or cluster) under every
 registered scheduler (``"naive"`` and ``"event-horizon"``)
@@ -13,30 +13,35 @@ depths and bank counts through all the loops; the comparison iterates
 :data:`SMAMachine.SCHEDULERS`, so a newly registered scheduler is
 covered automatically.
 
-**Contracts** — each component's ``next_event_time(now)`` must name the
-earliest cycle its externally visible state can change with every other
-component frozen.  The global property test checks the soundness
-direction the scheduler actually relies on: immediately after a cycle
-that made no progress (the scheduler's "template" position, where stall
-flags are fresh), no progress may occur before the reported horizon.
-Direct unit tests pin the per-component cases (bank-free clamps, passive
-``None`` contracts, the malformed-index live-step escape hatch).
+**Horizon** — the scheduler jumps to the banked memory's
+``next_event_time(now)``: the earliest pending completion or bank-free
+time.  The global property test checks the soundness direction the
+scheduler relies on: immediately after a cycle that made no progress
+(the scheduler's "template" position, where stall flags are fresh), no
+progress may occur before the reported horizon.  Direct unit tests pin
+the memory's cases (no work, completion clamp, earliest busy bank, a
+bank freeing exactly at ``now``).
+
+**Jumps** — a missed jump is never wrong, so the layers above would
+still pass if the horizon stopped jumping; a deterministic check
+requires most cycles of the latency-dominated R-F1 regime to be
+replayed rather than stepped.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import FaultConfig, MemoryConfig, QueueConfig, SMAConfig
+from repro.config import FaultConfig, MemoryConfig, SMAConfig
 from repro.core import SMACluster, SMAMachine
-from repro.core.descriptors import StreamDescriptor, StreamEngine, StreamKind
-from repro.core.store_unit import StoreUnit
-from repro.errors import SimulationError
+from repro.errors import MemoryError_, SimulationError
+from repro.harness.experiments import LATENCY_REPS, _configs
 from repro.harness.runner import _fit_memory, _load_inputs
 from repro.isa import assemble
 from repro.kernels import get_kernel, lower_sma
 from repro.memory import BankedMemory, MainMemory
-from repro.queues import QueueFile
 
 from tests.test_cluster_fast_forward import (
     _build_cluster,
@@ -211,6 +216,32 @@ def test_cycle_budget_parity_across_schedulers(scheduler):
     assert machine.cycle == 60
 
 
+def _bad_gather_machine():
+    """A gather whose second index (2.5) is not an address; the index
+    arrives from memory after a long jointly stalled span."""
+    machine = SMAMachine(
+        assemble("streamld iq0, #64, #1, #4\ngather lq0, iq0, #0, #4\nhalt"),
+        assemble("mov x1, #4\nt: add x2, lq0, #0.0\ndecbnz x1, t\nhalt"),
+        SMAConfig(memory=MemoryConfig(latency=64, bank_busy=8, num_banks=2)),
+    )
+    machine.load_array(64, [1.0, 2.5, 3.0, 0.0])
+    return machine
+
+
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+def test_malformed_gather_index_parity_across_schedulers(scheduler):
+    """A malformed gather index raises the reference diagnostic at the
+    identical cycle under every scheduler."""
+    reference = _bad_gather_machine()
+    with pytest.raises(MemoryError_, match="non-integral") as expected:
+        reference.run(scheduler="naive")
+    machine = _bad_gather_machine()
+    with pytest.raises(MemoryError_) as raised:
+        machine.run(scheduler=scheduler)
+    assert str(raised.value) == str(expected.value)
+    assert machine.cycle == reference.cycle
+
+
 # ---------------------------------------------------------------------------
 # cluster-level equivalence
 # ---------------------------------------------------------------------------
@@ -270,7 +301,7 @@ def _assert_horizons_sound(machine, limit=2_000_000):
     while not machine.done():
         assert machine.cycle < limit, "machine did not terminate"
         if not progressed:
-            horizon = machine.next_event_time(machine.cycle)
+            horizon = machine.banked.next_event_time(machine.cycle)
             if horizon is not None and horizon > machine.cycle:
                 jumps_checked += 1
                 while machine.cycle < horizon and not machine.done():
@@ -326,7 +357,7 @@ def test_no_progress_before_reported_horizon_fuzzed(
 
 
 # ---------------------------------------------------------------------------
-# per-component contracts
+# the banked-memory horizon
 # ---------------------------------------------------------------------------
 
 
@@ -339,188 +370,77 @@ def _memory(latency=8, bank_busy=4, banks=2, size=256):
 
 class TestBankedMemoryContract:
     def test_no_pending_completions(self):
-        assert _memory().next_completion_time(0) is None
+        # every bank starts free at cycle 0, so probe from cycle 1
+        assert _memory().next_event_time(1) is None
 
     def test_completion_time_and_clamp(self):
-        mem = _memory(latency=8)
+        mem = _memory(latency=8, bank_busy=4)
         assert mem.try_issue(0, 0, on_complete=lambda v: None)
-        assert mem.next_completion_time(0) == 8
-        assert mem.next_completion_time(8) == 8
-        assert mem.next_completion_time(12) == 12  # overdue clamps to now
+        assert mem.next_event_time(5) == 8  # bank freed at 4
+        assert mem.next_event_time(8) == 8
+        assert mem.next_event_time(12) == 12  # overdue clamps to now
+
+    def test_completion_before_bank_free(self):
+        mem = _memory(latency=2, bank_busy=6, banks=1)
+        assert mem.try_issue(0, 0, on_complete=lambda v: None)
+        assert mem.next_event_time(0) == 2
 
     def test_writes_without_callback_are_not_completions(self):
-        mem = _memory()
+        mem = _memory(bank_busy=4, banks=1)
         assert mem.try_issue(0, 0, is_write=True, value=1.0)
-        assert mem.next_completion_time(0) is None
+        assert mem.next_event_time(0) == 4  # only the busy bank
+        assert mem.next_event_time(5) is None
+
+    def test_earliest_busy_bank(self):
+        mem = _memory(latency=100, bank_busy=5, banks=2)
+        assert mem.try_issue(0, 0, is_write=True, value=0.0)  # bank 0 → 5
+        assert mem.try_issue(1, 1, is_write=True, value=0.0)  # bank 1 → 6
+        assert mem.next_event_time(2) == 5
+        assert mem.next_event_time(6) == 6
+
+    def test_bank_freeing_exactly_at_now(self):
+        """A bank that frees at ``now`` still counts: it admits, at
+        ``now``, the request it refused the cycle before."""
+        mem = _memory(bank_busy=4)
+        assert mem.try_issue(0, 0, is_write=True, value=0.0)
+        assert mem.next_event_time(4) == 4
+        assert mem.next_event_time(5) is None
 
 
-class TestStoreUnitContract:
-    def _unit(self, **mem_kwargs):
-        queues = QueueFile(SMAConfig())
-        memory = _memory(**mem_kwargs)
-        return StoreUnit(queues, memory), queues, memory
-
-    def test_empty_saq_is_passive(self):
-        su, _, _ = self._unit()
-        assert su.next_event_time(0) is None
-
-    def test_address_without_data_is_passive(self):
-        su, queues, _ = self._unit()
-        queues.store_addr.push((4, 0))
-        assert su.next_event_time(0) is None
-
-    def test_ready_pair_clamps_to_bank_free_time(self):
-        su, queues, memory = self._unit(bank_busy=6, banks=2)
-        queues.store_addr.push((4, 0))
-        queues.store_data[0].push(1.5)
-        assert su.next_event_time(0) == 0
-        # occupy the target bank (address 4 -> bank 0)
-        assert memory.try_issue(0, 0, is_write=True, value=0.0)
-        assert su.next_event_time(1) == 6
-
-    def test_no_stall_notes_from_probe(self):
-        """The contract probe must be pure — the reference tick records
-        data_wait/empty stalls, the probe must not."""
-        su, queues, _ = self._unit()
-        queues.store_addr.push((4, 0))
-        su.next_event_time(0)
-        assert su.stats.data_wait_cycles == 0
-        assert queues.store_data[0].stats.empty_stalls == 0
+# ---------------------------------------------------------------------------
+# the horizon actually jumps
+# ---------------------------------------------------------------------------
 
 
-class TestStreamEngineContract:
-    def _engine(self, **mem_kwargs):
-        memory = _memory(**mem_kwargs)
-        return StreamEngine(memory, max_streams=4), memory
+@pytest.mark.parametrize("name", LATENCY_REPS)
+def test_high_latency_runs_mostly_jump(name, monkeypatch):
+    """A missed jump is never wrong, so the equivalence tests above
+    would still pass if the horizon stopped jumping.  In the
+    latency-dominated regime (R-F1 at latency 256) most cycles are
+    jointly stalled: at least 75% of them must be replayed in closed
+    form rather than stepped."""
+    replayed = [0]
+    replay = SMAMachine._replay_fast
 
-    def _queue(self, name="q", capacity=4):
-        from repro.queues import OperandQueue
+    def counting(machine, snapshot, count):
+        replayed[0] += count
+        replay(machine, snapshot, count)
 
-        return OperandQueue(name, capacity)
-
-    def test_idle_engine_is_passive(self):
-        engine, _ = self._engine()
-        assert engine.next_event_time(0) is None
-
-    def test_missing_index_is_passive(self):
-        engine, _ = self._engine()
-        engine.start(StreamDescriptor(
-            StreamKind.GATHER, base=0, count=4,
-            target=self._queue("t"), index_queue=self._queue("i"),
-        ))
-        assert engine.next_event_time(0) is None
-
-    def test_full_target_is_passive(self):
-        engine, _ = self._engine()
-        target = self._queue("t", capacity=1)
-        target.push(9.0)
-        engine.start(StreamDescriptor(
-            StreamKind.LOAD, base=0, count=4, target=target,
-        ))
-        assert engine.next_event_time(0) is None
-
-    def test_empty_data_queue_is_passive(self):
-        engine, _ = self._engine()
-        engine.start(StreamDescriptor(
-            StreamKind.STORE, base=0, count=4,
-            data_queue=self._queue("d"),
-        ))
-        assert engine.next_event_time(0) is None
-
-    def test_busy_bank_clamps_and_idle_bank_is_now(self):
-        engine, memory = self._engine(bank_busy=5, banks=2)
-        engine.start(StreamDescriptor(
-            StreamKind.LOAD, base=0, count=4, target=self._queue("t"),
-        ))
-        assert engine.next_event_time(0) == 0
-        assert memory.try_issue(0, 0, is_write=True, value=0.0)
-        assert engine.next_event_time(1) == 5
-
-    def test_min_across_descriptors(self):
-        engine, memory = self._engine(bank_busy=5, banks=2)
-        assert memory.try_issue(0, 0, is_write=True, value=0.0)  # bank 0
-        assert memory.try_issue(1, 1, is_write=True, value=0.0)  # bank 1
-        engine.start(StreamDescriptor(          # bank 0, free at 5
-            StreamKind.LOAD, base=0, count=4, target=self._queue("t0"),
-        ))
-        engine.start(StreamDescriptor(          # bank 1, free at 6
-            StreamKind.LOAD, base=1, count=4, stride=2,
-            target=self._queue("t1"),
-        ))
-        assert engine.next_event_time(2) == 5
-
-    def test_malformed_index_forces_live_step(self):
-        """A non-integral index must not raise from the pure probe; it
-        returns ``now`` so the reference issue path raises the usual
-        diagnostic on the very next live cycle."""
-        engine, _ = self._engine()
-        index_queue = self._queue("i")
-        index_queue.push(2.5)
-        engine.start(StreamDescriptor(
-            StreamKind.GATHER, base=0, count=4,
-            target=self._queue("t"), index_queue=index_queue,
-        ))
-        assert engine.next_event_time(7) == 7
-
-    def test_no_stall_notes_from_probe(self):
-        engine, _ = self._engine()
-        target = self._queue("t", capacity=1)
-        target.push(9.0)
-        engine.start(StreamDescriptor(
-            StreamKind.LOAD, base=0, count=4, target=target,
-        ))
-        engine.next_event_time(0)
-        assert target.stats.full_stalls == 0
-
-
-class TestProcessorContracts:
-    def _machine(self, ap_text, ep_text="halt", **mem_kwargs):
-        cfg = SMAConfig(memory=MemoryConfig(
-            latency=mem_kwargs.get("latency", 8),
-            bank_busy=mem_kwargs.get("bank_busy", 4),
-            num_banks=mem_kwargs.get("banks", 1),
-        ))
-        return SMAMachine(assemble(ap_text), assemble(ep_text), cfg)
-
-    def test_unstalled_ap_acts_now(self):
-        machine = self._machine("nop\nhalt")
-        assert machine.ap.next_event_time(3) == 3
-
-    def test_halted_ap_is_passive(self):
-        machine = self._machine("halt")
-        machine.step_cycle()
-        assert machine.ap.halted
-        assert machine.ap.next_event_time(5) is None
-
-    def test_memory_busy_ap_clamps_to_bank_free(self):
-        machine = self._machine(
-            "ldq lq0, #0, #0\nldq lq1, #4, #0\nhalt",
-            banks=1, bank_busy=6,
-        )
-        machine.step_cycle()  # first ldq issues; bank busy until 6
-        machine.step_cycle()  # second ldq stalls on memory_busy
-        assert machine.ap._stalled_on == "memory_busy"
-        assert machine.ap.next_event_time(2) == 6
-
-    def test_lod_stalled_ap_is_passive(self):
-        machine = self._machine("fromq a1, eaq\nhalt")
-        machine.step_cycle()
-        assert machine.ap._stalled_on == "lod_eaq"
-        assert machine.ap.next_event_time(1) is None
-
-    def test_ep_contract(self):
-        machine = self._machine(
-            "halt", "add x1, lq0, #1.0\nhalt"
-        )
-        assert machine.ep.next_event_time(0) == 0
-        machine.step_cycle()
-        assert machine.ep._stalled_on == "lq_empty"
-        assert machine.ep.next_event_time(1) is None
-
-    def test_operand_queue_is_passive(self):
-        machine = self._machine("halt")
-        for queue in machine.queues.all_queues():
-            assert queue.next_event_time(0) is None
+    monkeypatch.setattr(SMAMachine, "_replay_fast", counting)
+    sma_cfg, _ = _configs(latency=256)
+    kernel, inputs = get_kernel(name).instantiate(256)
+    lowered = lower_sma(kernel)
+    cfg = replace(
+        sma_cfg, memory=_fit_memory(sma_cfg.memory, lowered.layout)
+    )
+    machine = SMAMachine(
+        lowered.access_program, lowered.execute_program, cfg
+    )
+    _load_inputs(machine, lowered.layout, kernel, inputs)
+    result = machine.run(scheduler="event-horizon")
+    assert replayed[0] >= 0.75 * result.cycles, (
+        f"{replayed[0]} of {result.cycles} cycles replayed"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,20 @@ class TestCacheIntegrity:
             run_jobs(jobs, cache_dir=tmp_path)
         assert stats.hits == len(jobs) and stats.quarantined == 0
 
+    @pytest.mark.parametrize("blob", ["[1, 2]", "null", "3.5", '"x"'])
+    def test_non_object_entry_quarantined(self, tmp_path, blob):
+        """Valid JSON that is not an object is not a result: it must be
+        quarantined and re-run, never served."""
+        jobs = _jobs()
+        clean = run_jobs(jobs, cache_dir=tmp_path)
+        (tmp_path / f"{job_key(jobs[0])}.json").write_text(blob)
+        with harness_policy() as stats:
+            again = run_jobs(jobs, cache_dir=tmp_path)
+        assert again == clean
+        assert stats.quarantined == 1
+        assert stats.hits == len(jobs) - 1 and stats.executed == 1
+        assert len(list(tmp_path.glob("*.json.corrupt"))) == 1
+
     def test_flushes_are_atomic_renames(self, tmp_path):
         run_jobs(_jobs(), cache_dir=tmp_path)
         assert not list(tmp_path.glob("*.tmp"))

@@ -17,8 +17,22 @@ and the memory counters a run leaves behind
 * a load accepted at cycle ``t >= 0`` completes at ``t + latency``, so
   a run with any read lasts at least ``latency + 1`` cycles.
 
-They are checked on random suite kernel x memory configuration draws
-and on every SMA row of ``golden_cycles.json``.
+Next to the bounds sit conservation laws of the same model:
+
+* every memory read fills a reserved load- or index-queue slot, and
+  every memory write drains one store-data entry, so
+  ``reads == sum of load and index queue pushes`` and
+  ``writes == sum of store-data queue pops``;
+* each accepted request lands in exactly one bank, so
+  ``reads + writes == sum of per-bank accesses``;
+* a finished run has drained every queue: ``pushes == pops``;
+* Little's law: a load-queue slot is reserved at issue and filled
+  ``latency`` cycles later, so the time-summed load-queue occupancy
+  (``mean_outstanding_loads * cycles``) is at least
+  ``latency * load-queue pushes``.
+
+All of them are checked on random suite kernel x memory configuration
+draws and on every SMA row of ``golden_cycles.json``.
 """
 
 import json
@@ -73,6 +87,43 @@ def _assert_bounded(machine, result):
     assert not violated, f"{result.cycles} cycles below {violated}"
 
 
+def conservation_laws(machine, result) -> dict[str, tuple[int, int]]:
+    """Each conservation law as ``(lhs, rhs)``; every law but
+    ``littles_law`` (``lhs >= rhs``) requires ``lhs == rhs``."""
+    queues = machine.queues
+    stats = machine.banked.stats
+    load_pushes = sum(q.stats.pushes for q in queues.load)
+    occupancy = round(result.mean_outstanding_loads * max(result.cycles, 1))
+    return {
+        "reads": (
+            stats.reads,
+            load_pushes + sum(q.stats.pushes for q in queues.index),
+        ),
+        "writes": (
+            stats.writes, sum(q.stats.pops for q in queues.store_data)
+        ),
+        "bank_accesses": (
+            stats.reads + stats.writes, sum(stats.per_bank_accesses)
+        ),
+        "littles_law": (
+            occupancy, machine.config.memory.latency * load_pushes
+        ),
+        **{
+            f"drained_{q.name}": (q.stats.pushes, q.stats.pops)
+            for q in queues.all_queues()
+        },
+    }
+
+
+def _assert_conserved(machine, result):
+    laws = conservation_laws(machine, result)
+    broken = {
+        name: (lhs, rhs) for name, (lhs, rhs) in laws.items()
+        if (lhs < rhs if name == "littles_law" else lhs != rhs)
+    }
+    assert not broken, f"conservation laws broken: {broken}"
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.sampled_from(kernel_names()),
@@ -95,6 +146,7 @@ def test_cycles_respect_analytic_bounds_on_random_configs(
         name, n, seed, SMAConfig(memory=memory), use_streams
     )
     _assert_bounded(machine, result)
+    _assert_conserved(machine, result)
 
 
 @pytest.mark.parametrize("column, use_streams",
@@ -106,3 +158,4 @@ def test_golden_rows_respect_analytic_bounds(name, column, use_streams):
     )
     assert result.cycles == GOLDEN["cycles"][name][column]
     _assert_bounded(machine, result)
+    _assert_conserved(machine, result)
