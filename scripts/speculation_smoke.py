@@ -18,6 +18,9 @@ to end, on the LOD-collapsed lowerings R-T7 uses:
   digest), two different predictor seeds must still produce the same
   (correct) memory digest, and a perfect predictor must eliminate at
   least 90% of the baseline's ``lod_*`` stall cycles.
+* **both loops agree** — every speculative case runs under
+  ``scheduler="naive"`` and ``"event-horizon"``; cycles, stall buckets,
+  speculation counters and the memory-image digest must be identical.
 
 Exit status is non-zero on any violated expectation.
 """
@@ -30,7 +33,8 @@ import sys
 
 try:
     from repro.config import MemoryConfig, SMAConfig, SpeculationConfig
-    from repro.harness.runner import run_on_sma
+    from repro.core import SMAMachine
+    from repro.harness.runner import _fit_memory, _load_inputs, run_on_sma
     from repro.kernels import get_kernel, lower_sma
 except ImportError as exc:  # pragma: no cover - CI misconfiguration
     raise SystemExit(
@@ -58,6 +62,25 @@ def _fingerprint(run):
         dict(run.result.ap.stall_cycles),
         run.result.lod_events,
         digest.hexdigest(),
+    )
+
+
+def _loop_fingerprint(name, variant, speculation, n, scheduler, seed=7):
+    """Everything the naive and event-horizon loops must agree on."""
+    kernel, inputs = get_kernel(name).instantiate(n, seed)
+    lowered = lower_sma(kernel, lod_variant=variant)
+    cfg = SMAConfig(memory=_fit_memory(MEM, lowered.layout),
+                    speculation=speculation)
+    machine = SMAMachine(lowered.access_program, lowered.execute_program,
+                         cfg)
+    _load_inputs(machine, lowered.layout, kernel, inputs)
+    result = machine.run(scheduler=scheduler)
+    return (
+        result.cycles,
+        dict(result.ap.stall_cycles),
+        dict(result.ep.stall_cycles),
+        result.speculation,
+        hashlib.sha256(machine.memory._words.tobytes()).hexdigest(),
     )
 
 
@@ -112,6 +135,20 @@ def main() -> int:
               f"{perfect.result.lod_stall_cycles})")
         check(_fingerprint(perfect)[3] == _fingerprint(plain)[3],
               "perfect-predictor outputs word-exact")
+
+        for label, speculation in (
+            ("coin seed 3", coin),
+            ("perfect", SpeculationConfig(mode="perfect", max_depth=16)),
+            ("perfect depth 1", SpeculationConfig(mode="perfect",
+                                                  max_depth=1)),
+        ):
+            naive, fast = (
+                _loop_fingerprint(name, variant, speculation, args.n, loop)
+                for loop in ("naive", "event-horizon")
+            )
+            check(naive == fast,
+                  f"{label}: naive and event-horizon agree (cycles, stall "
+                  "buckets, speculation counters, memory digest)")
 
     print("speculation smoke passed")
     return 0

@@ -27,6 +27,7 @@ the AP has been dragged back to the EP's speed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from ..errors import MemoryError_, SimulationError
 from ..isa import ACCESS_OPS, ALU_FUNCS, ALU_OPS, Imm, Op, Program, Queue, Reg
@@ -54,9 +55,20 @@ class APStats:
 
 
 # decoded-instruction kinds (first element of each decode tuple); plain
-# ints so the fast step dispatches on integer compares, not enum hashing
+# ints so the step dispatches on integer compares, not enum hashing.
+# _A_SPEC wraps a decoded entry in a speculation-aware handler:
+# ``(_A_SPEC, handler, entry)`` (see AccessProcessor.attach_speculation)
 (_A_ALU, _A_LDQ, _A_DECBNZ, _A_FROMQ, _A_STADDR, _A_BQ, _A_BR, _A_STREAM,
- _A_JMP, _A_HALT, _A_NOP) = range(11)
+ _A_JMP, _A_HALT, _A_NOP, _A_SPEC) = range(12)
+
+#: the kinds that touch LOD queues or reserve slots, and the handler
+#: each takes while a speculation engine is attached
+_SPEC_HANDLERS = {
+    _A_LDQ: "_spec_ldq",
+    _A_STADDR: "_spec_staddr",
+    _A_FROMQ: "_spec_fromq",
+    _A_BQ: "_spec_bq",
+}
 
 # decoded-operand tags: register index / immediate value / invalid
 _O_REG, _O_IMM, _O_BAD = range(3)
@@ -87,20 +99,21 @@ class AccessProcessor:
         self.halted = False
         self.stats = APStats()
         self._stalled_on: str | None = None
-        #: SpeculationEngine when the machine runs in speculative AP mode;
-        #: None keeps every hook on the baseline (bit-identical) path.
+        #: SpeculationEngine when the machine runs in speculative AP mode
+        #: (set by attach_speculation); None keeps every kind on the
+        #: plain decode.
         self._spec = None
         for instr in program:
             if instr.op not in ACCESS_OPS:
                 raise SimulationError(
                     f"{instr.op.value} is not a valid access-processor op"
                 )
-        # decode cache + memory-model constants for step_fast; the
-        # bank-free list and the config values are stable for the
-        # machine's lifetime (BankedMemory mutates the list in place)
+        # decode cache + memory-model constants for step; the bank-free
+        # list and the config values are stable for the machine's
+        # lifetime (BankedMemory mutates the list in place)
         self._decoded = [self._decode(pc) for pc in range(len(program))]
-        # bounds-check cache for step_fast; valid only while self.program
-        # is still the construction-time object (identity-checked there)
+        # bounds-check cache for step; valid only while self.program is
+        # still the construction-time object (identity-checked there)
         self._prog = program
         self._plen = len(program)
         self._saq = queues.store_addr
@@ -109,14 +122,30 @@ class AccessProcessor:
         self._nbanks = memory.config.num_banks
         self._accepts = memory.config.accepts_per_cycle
 
-    # -- decode cache (step_fast) ----------------------------------------
+    # -- decode cache ------------------------------------------------------
+
+    def attach_speculation(self, spec) -> None:
+        """Attach (or, with ``None``, detach) a speculation engine.
+
+        Re-decodes the kinds in :data:`_SPEC_HANDLERS` into ``_A_SPEC``
+        entries whose handlers call the engine's hooks; every other kind
+        keeps its plain decode, so a non-speculative AP pays nothing for
+        speculation but the rollback-penalty gate at the top of
+        :meth:`step`."""
+        self._spec = spec
+        self._decoded = [self._decode(pc) for pc in range(len(self.program))]
 
     def _decode(self, pc: int):
+        entry = self._decode_plain(self.program[pc])
+        if self._spec is not None and entry[0] in _SPEC_HANDLERS:
+            return (_A_SPEC, getattr(self, _SPEC_HANDLERS[entry[0]]), entry)
+        return entry
+
+    def _decode_plain(self, instr):
         """Decode one instruction into a kind-tagged tuple for
-        :meth:`step_fast`.  Operands the reference :meth:`step` would
-        reject at execution time are tagged ``_O_BAD`` so the fast path
-        raises the identical error at the identical cycle."""
-        instr = self.program[pc]
+        :meth:`step`.  An operand that is invalid at execution time is
+        tagged ``_O_BAD`` so the error is raised at the cycle the
+        instruction executes, not at construction."""
         op = instr.op
         if op in ALU_OPS:
             dest = instr.dest
@@ -209,83 +238,21 @@ class AccessProcessor:
         )
 
     def step(self, now: int) -> None:
-        """Attempt to execute one instruction this cycle."""
+        """Attempt to execute one instruction this cycle.
+
+        Dispatches on the predecoded kind tags with the queue and memory
+        probes inlined.  A stalled instruction retries next cycle and
+        charges the cycle to its stall cause; an entry into a ``lod_*``
+        stall counts one LOD episode."""
         if self.halted:
             return
         spec = self._spec
         if spec is not None and spec.ap_blocked(self, now):
             return
-        if self.pc >= len(self.program):
-            raise SimulationError(
-                f"AP ran off the end of program {self.program.name!r}"
-            )
-        instr = self.program[self.pc]
-        op = instr.op
-        if op in ALU_OPS:
-            self._alu(instr)
-        elif op is Op.HALT:
-            self.halted = True
-            self._retire()
-            return
-        elif op is Op.NOP:
-            pass
-        elif op is Op.JMP:
-            self._retire(instr.branch_target())
-            return
-        elif op in (Op.BEQZ, Op.BNEZ):
-            value = self._read(instr.srcs[0])
-            taken = (value == 0) == (op is Op.BEQZ)
-            self._retire(instr.branch_target() if taken else None)
-            return
-        elif op is Op.DECBNZ:
-            assert isinstance(instr.dest, Reg)
-            self.registers[instr.dest.index] -= 1
-            taken = self.registers[instr.dest.index] != 0
-            self._retire(instr.branch_target() if taken else None)
-            return
-        elif op in (Op.STREAMLD, Op.GATHER, Op.STREAMST, Op.SCATTER):
-            if not self._start_stream(instr):
-                return
-        elif op is Op.LDQ:
-            if not self._ldq(instr, now):
-                return
-        elif op is Op.STADDR:
-            if not self._staddr(instr):
-                return
-        elif op is Op.FROMQ:
-            if not self._fromq(instr):
-                return
-        elif op in (Op.BQNZ, Op.BQEZ):
-            if spec is not None:
-                value = spec.ap_branch_value(self)
-                if value is None:
-                    return
-            else:
-                ebq = self.queues.ep_to_ap_branch
-                if not ebq.head_ready():
-                    ebq.note_empty_stall()
-                    self._stall("lod_ebq")
-                    return
-                value = ebq.pop()
-            taken = (value != 0) == (op is Op.BQNZ)
-            self._retire(instr.branch_target() if taken else None)
-            return
-        else:  # pragma: no cover - exhaustive over ACCESS_OPS
-            raise SimulationError(f"unhandled AP op {op}")
-        self._retire()
-
-    def step_fast(self, now: int) -> None:
-        """Decode-cached twin of :meth:`step` for the event-horizon
-        scheduler's hot loop.  Must stay behaviorally identical to
-        ``step`` (same stall causes and LOD episode counting, same stats,
-        same errors at the same cycle); the Hypothesis equivalence suite
-        in ``tests/test_event_horizon.py`` holds the two together."""
-        if self.halted:
-            return
         pc = self.pc
         # bounds-check against the live program (not just the decode
-        # cache) so a program swapped after construction still faults
-        # identically; the identity test keeps the common case to one
+        # cache) so a program swapped after construction still faults at
+        # its own end; the identity test keeps the common case to one
         # cached-length compare
         if pc >= self._plen or self.program is not self._prog:
             if pc >= len(self.program):
@@ -345,7 +312,8 @@ class AccessProcessor:
                 return
             memory = self.memory
             cyc, cnt = memory._issues_at
-            if (cyc == now and cnt >= self._accepts) or \
+            if (memory.reject is not None and memory.reject(addr, now)) or \
+                    (cyc == now and cnt >= self._accepts) or \
                     self._bank_free[addr % self._nbanks] > now:
                 st = stats.stall_cycles
                 st["memory_busy"] = st.get("memory_busy", 0) + 1
@@ -353,8 +321,7 @@ class AccessProcessor:
                 return
             token = target.reserve()
             accepted = memory.try_issue(
-                addr, now,
-                on_complete=lambda v, t=token, q=target: q.fill(t, v),
+                addr, now, on_complete=partial(target.fill, token)
             )
             assert accepted
             stats.instructions += 1
@@ -469,6 +436,9 @@ class AccessProcessor:
             self._stalled_on = None
             self.pc = pc + 1
             return
+        if kind == _A_SPEC:
+            entry[1](entry[2], now)
+            return
         # _A_NOP
         stats.instructions += 1
         self._stalled_on = None
@@ -479,13 +449,17 @@ class AccessProcessor:
         self._stalled_on = None
         self.pc = new_pc if new_pc is not None else self.pc + 1
 
-    # -- op implementations ---------------------------------------------
+    def _operand(self, decoded) -> float:
+        tag, payload = decoded
+        if tag == _O_REG:
+            return self.registers[payload]
+        if tag == _O_IMM:
+            return payload
+        raise SimulationError(
+            f"AP operand {payload} must be a register or immediate here"
+        )
 
-    def _alu(self, instr) -> None:
-        args = [self._read(s) for s in instr.srcs]
-        result = ALU_FUNCS[instr.op](*args)
-        assert isinstance(instr.dest, Reg), "AP ALU dest must be a register"
-        self.registers[instr.dest.index] = result
+    # -- op implementations ---------------------------------------------
 
     def _start_stream(self, instr) -> bool:
         spec = self._spec
@@ -552,78 +526,60 @@ class AccessProcessor:
         self.engine.start(desc)
         return True
 
-    def _ldq(self, instr, now: int) -> bool:
-        dest = instr.dest
-        assert isinstance(dest, Queue)
-        target = self.queues.resolve(dest)
-        spec = self._spec
-        speculative = spec is not None and spec.in_flight()
+    # -- speculation-aware handlers (_A_SPEC entries) --------------------
+
+    def _spec_address(self, entry) -> int:
+        """``entry``'s two address operands summed.  While a frame is
+        open the address may come from a wrong path: an invalid one
+        becomes 0, and the caller clamps it into memory."""
         try:
-            addr = as_address(
-                self._read(instr.srcs[0]) + self._read(instr.srcs[1])
+            return as_address(
+                self._operand(entry[2]) + self._operand(entry[3])
             )
         except (MemoryError_, ValueError, OverflowError):
-            if not speculative:
+            if not self._spec.in_flight():
                 raise
-            addr = 0  # wrong-path garbage address; the load is doomed
-        if speculative:
-            # wrong-path addresses may be out of range; clamp so a doomed
-            # speculative load cannot crash the simulation
+            return 0
+
+    def _spec_ldq(self, entry, now: int) -> None:
+        target = entry[1]
+        spec = self._spec
+        addr = self._spec_address(entry)
+        if spec.in_flight():
+            # a doomed wrong-path load must not crash the simulation
             addr %= self.memory.storage.size
         if not target.can_reserve():
             target.note_full_stall()
             self._stall("queue_full")
-            return False
+            return
         if not self.memory.can_accept(addr, now):
             self._stall("memory_busy")
-            return False
+            return
         token = target.reserve()
-        if spec is not None:
-            spec.note_reserved(target, token)
+        spec.note_reserved(target, token)
         accepted = self.memory.try_issue(
-            addr, now, on_complete=lambda v, t=token, q=target: q.fill(t, v)
+            addr, now, on_complete=partial(target.fill, token)
         )
         assert accepted
-        return True
+        self._retire()
 
-    def _staddr(self, instr) -> bool:
-        data_q = instr.srcs[0]
-        assert isinstance(data_q, Queue) and data_q.space is QueueSpace.SDQ
-        saq = self.queues.store_addr
+    def _spec_staddr(self, entry, now: int) -> None:
+        saq = self._saq
         if not saq.can_reserve():
             saq.note_full_stall()
             self._stall("saq_full")
-            return False
-        spec = self._spec
-        try:
-            addr = as_address(
-                self._read(instr.srcs[1]) + self._read(instr.srcs[2])
-            )
-        except (MemoryError_, ValueError, OverflowError):
-            if not (spec is not None and spec.in_flight()):
-                raise
-            addr = 0  # wrong-path garbage; slot dies before commit
-        slot = saq.push((addr, data_q.index))
-        if spec is not None:
-            spec.note_reserved(saq, slot)
-        return True
+            return
+        # a wrong-path address dies with its slot before commit
+        slot = saq.push((self._spec_address(entry), entry[1]))
+        self._spec.note_reserved(saq, slot)
+        self._retire()
 
-    def _fromq(self, instr) -> bool:
-        src = instr.srcs[0]
-        assert isinstance(src, Queue)
-        queue = self.queues.resolve(src)
-        spec = self._spec
-        if spec is not None:
-            return spec.ap_fromq(self, instr, src, queue)
-        if not queue.head_ready():
-            queue.note_empty_stall()
-            if src.space is QueueSpace.EAQ:
-                self._stall("lod_eaq")
-            elif src.space is QueueSpace.EBQ:
-                self._stall("lod_ebq")
-            else:
-                self._stall("iq_empty")
-            return False
-        assert isinstance(instr.dest, Reg)
-        self.registers[instr.dest.index] = queue.pop()
-        return True
+    def _spec_fromq(self, entry, now: int) -> None:
+        if self._spec.ap_fromq(self, entry[1], entry[2], entry[3]):
+            self._retire()
+
+    def _spec_bq(self, entry, now: int) -> None:
+        value = self._spec.ap_branch_value(self)
+        if value is not None:
+            taken = (value != 0) == entry[1]
+            self._retire(entry[2] if taken else None)

@@ -20,16 +20,17 @@ single-machine fast-forward pay off (see :mod:`repro.core.machine`) is
 larger fraction of cycles are jointly idle — every node stalled on a
 pending completion.  The default loop (:meth:`SMACluster.
 _run_event_horizon`) drives the nodes exactly like a standalone
-event-horizon run: each node steps through the decode-cached
-``tick_fast``/``step_fast`` twins, keeps its queue-occupancy statistics
-by lazy (event-driven) accounting on its own clock — stopped at that
-node's own finish cycle, so early finishers are not over-sampled — and,
-once a template cycle confirms that every running node is stalled, the
-shared clock jumps to the shared memory's next event (a completion or a
-bank freeing, :meth:`repro.memory.BankedMemory.next_event_time`) and
-every running node replays the skipped span in closed form through
-``_replay_fast``.  Finished nodes are frozen (naive ticking does not step
-them either), and the shared memory needs no replay of its own: a
+event-horizon run: each node calls the same unit steps as naive ticking
+(and its speculation engine's end-of-cycle resolution), keeps its
+queue-occupancy statistics by lazy (event-driven) accounting on its own
+clock — stopped at that node's own finish cycle, so early finishers are
+not over-sampled — and, once a template cycle confirms that every
+running node is stalled, the shared clock jumps to the shared memory's
+next event (a completion or a bank freeing,
+:meth:`repro.memory.BankedMemory.next_event_time`, bounded by any node's
+rollback penalty) and every running node replays the skipped span in
+closed form through ``_replay_fast``.  Finished nodes are frozen (naive
+ticking does not step them either), and the shared memory needs no replay of its own: a
 jointly-idle cycle issues no accesses, so bank-free times and port
 counters are static until the next completion.  Everything stays
 bit-identical to naive ticking (property-tested in
@@ -49,7 +50,7 @@ from ..config import SMAConfig
 from ..errors import CycleBudgetExceeded, SimulationError
 from ..isa import Program
 from ..memory import BankedMemory, MainMemory
-from .machine import SMAMachine, SMAResult
+from .machine import SMAMachine, SMAResult, resolutions, speculation_horizon
 
 
 @dataclass
@@ -237,12 +238,6 @@ class SMACluster:
             # see SMAMachine.run: only naive ticking exercises the
             # injected faults faithfully
             scheduler = "naive"
-        spec_cfg = self.config.speculation
-        if (spec_cfg is not None and spec_cfg.enabled
-                and scheduler != "naive"):
-            # see SMAMachine.run: the fast loops bypass the speculation
-            # hooks, so speculative clusters run under naive ticking
-            scheduler = "naive"
         if scheduler == "event-horizon":
             self._run_event_horizon(max_cycles, deadlock_window)
         else:
@@ -252,13 +247,18 @@ class SMACluster:
     def _run_event_horizon(
         self, max_cycles: int, deadlock_window: int
     ) -> None:
-        """Memory-event-driven cluster loop on the fast step paths.
+        """Memory-event-driven cluster loop.
 
         Every node runs under its own :meth:`SMAMachine.lazy_occupancy`
         bracket, steps through :func:`_fast_node_step` and replays its
         jumps through ``_replay_fast``.  Each bracket flushes up to its
-        node's own cycle, which stops at the node's finish cycle.
+        node's own cycle, which stops at the node's finish cycle.  Node
+        speculation engines are built first, as each node's first
+        ``step_cycle`` would at cycle 0.
         """
+        for node in self.nodes:
+            if not node._spec_ready:
+                node._ensure_speculation()
         with ExitStack() as brackets:
             steps = [
                 _fast_node_step(
@@ -276,10 +276,12 @@ class SMACluster:
         shared memory's next event.
 
         A jump is only *planned* when every running node has both
-        processors halted or stalled and the memory's next event lies
-        beyond ``now + 1``; it is only *taken* after one live template
-        cycle confirms that nothing moved (pre-step flags can be stale),
-        and then runs to the memory's next event after the template.
+        processors halted or stalled and the next event lies beyond
+        ``now + 1``; it is only *taken* after one live template cycle
+        confirms that nothing moved (pre-step flags can be stale) and no
+        node resolved a prediction, and then runs to the next event after
+        the template.  The next event is the memory's, bounded by the end
+        of any node's rollback penalty (:func:`speculation_horizon`).
         Progress is probed as one sum of monotone counters (node
         retirements, requests, stores and memory traffic), which changes
         exactly when the :meth:`_progress_state` tuple would.
@@ -287,7 +289,8 @@ class SMACluster:
         nodes = self.nodes
         n = len(nodes)
         banked = self.banked
-        horizon = banked.next_event_time
+        specs = tuple(node._spec for node in nodes if node._spec is not None)
+        horizon = speculation_horizon(banked.next_event_time, specs)
         comps = banked._completions
         mstats = banked.stats
         finish = self.finish_cycles
@@ -323,6 +326,7 @@ class SMACluster:
                         (i, nodes[i].stall_snapshot())
                         for i in range(n) if live[i]
                     ]
+                    resolved = resolutions(specs) if specs else 0
             banked.tick(now)
             # rotating service order, exactly as in _step_all
             rotation = now % n
@@ -353,7 +357,9 @@ class SMACluster:
                 p_total = total
                 last_progress = self.cycle
                 continue
-            if snapshots is not None:
+            if snapshots is not None and (
+                not specs or resolutions(specs) == resolved
+            ):
                 target = horizon(self.cycle)
                 bound = last_progress + deadlock_window + 1
                 if target is None or target > bound:
@@ -420,23 +426,25 @@ class SMACluster:
 
 
 def _fast_node_step(node: SMAMachine, clock: list[int]):
-    """Return ``step(now)``: ``node.step_cycle(tick_memory=False)`` built
-    from the event-horizon ``tick_fast``/``step_fast`` twins, with queue
-    occupancy accounted lazily against ``clock`` (the node's
-    :meth:`SMAMachine.lazy_occupancy` cell) instead of sampled."""
+    """Return ``step(now)``: ``node.step_cycle(tick_memory=False)`` with
+    the unit steps and the speculation engine's end-of-cycle resolution
+    hoisted into locals, and queue occupancy accounted lazily against
+    ``clock`` (the node's :meth:`SMAMachine.lazy_occupancy` cell)
+    instead of sampled."""
     ap = node.ap
     ep = node.ep
-    ap_step = ap.step_fast
-    ep_step = ep.step_fast
-    su_tick = node.store_unit.tick_fast
-    engine_tick = node.engine.tick_fast
+    ap_step = ap.step
+    ep_step = ep.step
+    su_tick = node.store_unit.tick
+    engine_tick = node.engine.tick
     saq_slots = node.queues.store_addr._slots
     engine_streams = node.engine._streams
     metrics = node._metrics
+    spec = node._spec
 
     def step(now: int) -> None:
         clock[0] = now
-        # each fast step begins with the same emptiness/halt check;
+        # each unit step begins with the same emptiness/halt check;
         # doing it here skips the call entirely on quiet components
         if saq_slots:
             su_tick(now)
@@ -446,6 +454,8 @@ def _fast_node_step(node: SMAMachine, clock: list[int]):
             ap_step(now)
         if not ep.halted:
             ep_step(now)
+        if spec is not None:
+            spec.on_cycle(node, now)
         if metrics is not None:
             metrics.on_cycle(node, now)
         node.cycle = now + 1

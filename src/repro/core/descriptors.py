@@ -82,16 +82,6 @@ class StreamDescriptor:
     def done(self) -> bool:
         return self.issued >= self.count
 
-    def next_address(self) -> int | None:
-        """Address of the next request, or None if it needs an index that
-        has not arrived yet."""
-        if self.kind in (StreamKind.LOAD, StreamKind.STORE):
-            return self.base + self.issued * self.stride
-        assert self.index_queue is not None
-        if not self.index_queue.head_ready():
-            return None
-        return self.base + as_address(self.index_queue.peek())
-
 
 @dataclass
 class StreamEngineStats:
@@ -168,81 +158,17 @@ class StreamEngine:
         return len(self._streams)
 
     def tick(self, now: int) -> int:
-        """Issue up to ``issue_per_cycle`` requests; returns issue count."""
-        if not self._streams:
-            return 0
-        issued = 0
-        attempts = 0
-        n = len(self._streams)
-        # Round-robin over descriptors: each gets one attempt per cycle.
-        while issued < self.issue_per_cycle and attempts < n:
-            desc = self._streams[self._rr % len(self._streams)]
-            if self._try_issue(desc, now):
-                issued += 1
-                if desc.done:
-                    self._streams.remove(desc)
-                    if not self._streams:
-                        break
-                    continue  # keep rr pointing at the next stream
-            self._rr = (self._rr + 1) % max(len(self._streams), 1)
-            attempts += 1
-        if issued == 0:
-            self.stats.blocked_cycles += 1
-        else:
-            self.stats.requests_issued += issued
-        return issued
+        """Issue up to ``issue_per_cycle`` requests; returns issue count.
 
-    def _try_issue(self, desc: StreamDescriptor, now: int) -> bool:
-        addr = desc.next_address()
-        if addr is None:
-            return False  # waiting for an index
-        if desc.kind in (StreamKind.LOAD, StreamKind.GATHER):
-            target = desc.target
-            assert target is not None
-            if not target.can_reserve():
-                target.note_full_stall()
-                return False
-            if not self.memory.can_accept(addr, now):
-                return False
-            token = target.reserve()
-            accepted = self.memory.try_issue(
-                addr,
-                now,
-                on_complete=lambda v, t=token, q=target: q.fill(t, v),
-            )
-            assert accepted, "can_accept and try_issue disagreed"
-        else:
-            data_queue = desc.data_queue
-            assert data_queue is not None
-            if not data_queue.head_ready():
-                data_queue.note_empty_stall()
-                return False
-            if not self.memory.can_accept(addr, now):
-                return False
-            value = data_queue.peek()
-            accepted = self.memory.try_issue(
-                addr, now, is_write=True, value=value
-            )
-            assert accepted
-            data_queue.pop()
-        if desc.kind in (StreamKind.GATHER, StreamKind.SCATTER):
-            assert desc.index_queue is not None
-            desc.index_queue.pop()
-        desc.issued += 1
-        return True
-
-    # -- event-horizon fast path ----------------------------------------
-
-    def tick_fast(self, now: int) -> int:
-        """Hand-inlined twin of :meth:`tick` for the event-horizon
-        scheduler's hot loop.
-
-        Must stay behaviorally identical to ``tick`` + ``_try_issue`` —
-        same issue order, same stall notes, same stats — with the
-        per-attempt method calls (``next_address``, ``can_reserve``,
-        ``head_ready``, ``can_accept``) flattened into local deque and
-        list accesses.  The Hypothesis equivalence suite
-        (``tests/test_event_horizon.py``) holds the two paths together.
+        Round-robin over descriptors, one attempt each per cycle.  An
+        attempt issues when its address is known (an indexed stream
+        needs a filled, unpoisoned index head), its queue side is ready
+        (a free target slot for loads, a filled data head for stores:
+        store data comes from the non-speculative EP) and
+        the memory accepts: the :attr:`BankedMemory.reject` hook, then
+        the port and bank test.  The queue probes and the accept side of
+        :meth:`BankedMemory.try_issue` are inlined as local deque and
+        list accesses; this is the per-cycle hot path of every loop.
         """
         streams = self._streams
         if not streams:
@@ -260,6 +186,7 @@ class StreamEngine:
         msize = storage.size
         observer = storage.observer
         comps = memory._completions
+        reject = memory.reject
         issued = 0
         attempts = 0
         n = len(streams)
@@ -268,7 +195,7 @@ class StreamEngine:
             ok = False
             if desc.indexed:
                 islots = desc.index_queue._slots
-                if islots and islots[0].filled:
+                if islots and islots[0].filled and not islots[0].poisoned:
                     addr = desc.base + as_address(islots[0].value)
                 else:
                     addr = None
@@ -282,12 +209,13 @@ class StreamEngine:
                     else:
                         cyc, cnt = memory._issues_at
                         bank = addr % nbanks
-                        if (cyc != now or cnt < accepts) and \
+                        if (reject is None or not reject(addr, now)) and \
+                                (cyc != now or cnt < accepts) and \
                                 bank_free[bank] <= now:
                             # inline target.reserve() + the accept side of
-                            # BankedMemory.try_issue (whose port/bank
-                            # checks just passed), in the reference order:
-                            # reserve, bookkeeping, read, completion
+                            # BankedMemory.try_issue (whose checks just
+                            # passed): reserve, bookkeeping, read,
+                            # completion
                             if target._lazy:
                                 if target._clock[0] > target._synced:
                                     target._lazy_flush()
@@ -322,7 +250,8 @@ class StreamEngine:
                     else:
                         cyc, cnt = memory._issues_at
                         bank = addr % nbanks
-                        if (cyc != now or cnt < accepts) and \
+                        if (reject is None or not reject(addr, now)) and \
+                                (cyc != now or cnt < accepts) and \
                                 bank_free[bank] <= now:
                             memory._issues_at = (
                                 (now, cnt + 1) if cyc == now else (now, 1)

@@ -39,7 +39,7 @@ class EPStats:
 _EP_DEST_SPACES = (QueueSpace.SDQ, QueueSpace.EAQ, QueueSpace.EBQ)
 
 # decoded-instruction kinds (first element of each decode tuple); plain
-# ints so the fast step dispatches on integer compares, not enum hashing
+# ints so the step dispatches on integer compares, not enum hashing
 _D_HALT, _D_NOP, _D_JMP, _D_BR, _D_DECBNZ, _D_ALU = range(6)
 
 # decoded-operand tags: register index / immediate value / queue / invalid
@@ -51,8 +51,7 @@ class ExecuteProcessor:
 
     __slots__ = (
         "program", "queues", "registers", "pc", "halted", "stats",
-        "_stalled_on", "_src_queues", "_dest_queues", "_decoded",
-        "_prog", "_plen",
+        "_stalled_on", "_decoded", "_prog", "_plen",
     )
 
     def __init__(self, program: Program, queues: QueueFile):
@@ -66,35 +65,21 @@ class ExecuteProcessor:
         #: consumed by the timeline viewer in repro.trace.timeline
         self._stalled_on: str | None = None
         self._validate(program)
-        # predecode: resolve queue operands to their backing queues once
-        # (resolution is pure, and step() runs every simulated cycle)
-        self._src_queues = [
-            tuple(
-                queues.resolve(s) if isinstance(s, Queue) else None
-                for s in instr.srcs
-            )
-            for instr in program
-        ]
-        self._dest_queues = [
-            queues.resolve(instr.dest)
-            if isinstance(instr.dest, Queue) else None
-            for instr in program
-        ]
-        self._decoded = [self._decode(pc) for pc in range(len(program))]
-        # bounds-check cache for step_fast; valid only while self.program
-        # is still the construction-time object (identity-checked there)
+        # predecode once (resolution is pure, and step() runs every
+        # simulated cycle), queue operands resolved to their queues
+        self._decoded = [self._decode(instr) for instr in program]
+        # bounds-check cache for step; valid only while self.program is
+        # still the construction-time object (identity-checked there)
         self._prog = program
         self._plen = len(program)
 
-    # -- decode cache (step_fast) ----------------------------------------
+    # -- decode cache ------------------------------------------------------
 
-    def _decode(self, pc: int):
+    def _decode(self, instr):
         """Decode one instruction into a kind-tagged tuple for
-        :meth:`step_fast`.  Decoding is pure; any operand that the
-        reference :meth:`step` would reject *at execution time* is tagged
-        ``_O_BAD`` so the fast path raises the identical error at the
-        identical cycle, not at construction."""
-        instr = self.program[pc]
+        :meth:`step`.  Decoding is pure; an operand that is invalid *at
+        execution time* is tagged ``_O_BAD`` so the error is raised at
+        the cycle the instruction executes, not at construction."""
         op = instr.op
         if op is Op.HALT:
             return (_D_HALT,)
@@ -114,11 +99,14 @@ class ExecuteProcessor:
             return (_D_DECBNZ, instr.dest.index, instr.branch_target())
         assert op in ALU_OPS, f"unhandled EP op {op}"
         srcs = tuple(
-            (_O_QUEUE, backing) if backing is not None
+            (_O_QUEUE, self.queues.resolve(src)) if isinstance(src, Queue)
             else self._decode_operand(src)
-            for src, backing in zip(instr.srcs, self._src_queues[pc])
+            for src in instr.srcs
         )
-        dest_queue = self._dest_queues[pc]
+        dest_queue = (
+            self.queues.resolve(instr.dest)
+            if isinstance(instr.dest, Queue) else None
+        )
         dest_reg = (
             instr.dest.index
             if dest_queue is None and isinstance(instr.dest, Reg) else None
@@ -156,84 +144,19 @@ class ExecuteProcessor:
                     f"queue named twice in one instruction: {instr}"
                 )
 
-    def _stall(self, cause: str) -> None:
-        st = self.stats.stall_cycles
-        st[cause] = st.get(cause, 0) + 1
-        self._stalled_on = cause
-
     def step(self, now: int) -> None:
-        """Attempt to execute one instruction this cycle."""
-        if self.halted:
-            return
-        if self.pc >= len(self.program):
-            raise SimulationError(
-                f"EP ran off the end of program {self.program.name!r}"
-            )
-        instr = self.program[self.pc]
-        op = instr.op
-        if op is Op.HALT:
-            self.halted = True
-            self._retire()
-            return
-        if op is Op.NOP:
-            self._retire()
-            return
-        if op is Op.JMP:
-            self._retire(instr.branch_target())
-            return
-        if op in (Op.BEQZ, Op.BNEZ):
-            value = self._read_reg_or_imm(instr.srcs[0])
-            taken = (value == 0) == (op is Op.BEQZ)
-            self._retire(instr.branch_target() if taken else None)
-            return
-        if op is Op.DECBNZ:
-            assert isinstance(instr.dest, Reg)
-            self.registers[instr.dest.index] -= 1
-            taken = self.registers[instr.dest.index] != 0
-            self._retire(instr.branch_target() if taken else None)
-            return
-        assert op in ALU_OPS, f"unhandled EP op {op}"
-        # check queue readiness before popping anything (atomic issue)
-        src_queues = self._src_queues[self.pc]
-        for backing in src_queues:
-            if backing is not None and not backing.head_ready():
-                backing.note_empty_stall()
-                self._stall("lq_empty")
-                return
-        dest_queue = self._dest_queues[self.pc]
-        if dest_queue is not None and not dest_queue.can_reserve():
-            dest_queue.note_full_stall()
-            self._stall("q_full")
-            return
-        registers = self.registers
-        args = [
-            backing.pop() if backing is not None
-            else (
-                registers[src.index] if isinstance(src, Reg) else src.value
-            )
-            for src, backing in zip(instr.srcs, src_queues)
-        ]
-        result = ALU_FUNCS[op](*args)
-        if dest_queue is not None:
-            dest_queue.push(result)
-        else:
-            assert isinstance(instr.dest, Reg)
-            self.registers[instr.dest.index] = result
-        self._retire()
+        """Attempt to execute one instruction this cycle.
 
-    def step_fast(self, now: int) -> None:
-        """Decode-cached twin of :meth:`step` for the event-horizon
-        scheduler's hot loop: dispatches on predecoded kind tags and
-        inlines the queue head/slot checks.  Must stay behaviorally
-        identical to ``step`` (same stalls, same stats, same errors at
-        the same cycle); the Hypothesis equivalence suite holds the two
-        together."""
+        Dispatches on the predecoded kind tags and inlines the queue
+        head/slot checks.  An ALU op issues atomically: every queue
+        source must have a ready (filled, unpoisoned) head and a queue
+        destination a free slot before anything is popped."""
         if self.halted:
             return
         pc = self.pc
         # bounds-check against the live program (not just the decode
-        # cache) so a program swapped after construction still faults
-        # identically; the identity test keeps the common case to one
+        # cache) so a program swapped after construction still faults at
+        # its own end; the identity test keeps the common case to one
         # cached-length compare
         if pc >= self._plen or self.program is not self._prog:
             if pc >= len(self.program):
@@ -250,7 +173,8 @@ class ExecuteProcessor:
             for tag, payload in srcs:
                 if tag == _O_QUEUE:
                     slots = payload._slots
-                    if not slots or not slots[0].filled:
+                    if not slots or not slots[0].filled \
+                            or slots[0].poisoned:
                         payload.stats.empty_stalls += 1
                         st = stats.stall_cycles
                         st["lq_empty"] = st.get("lq_empty", 0) + 1
@@ -337,25 +261,3 @@ class ExecuteProcessor:
         stats.instructions += 1
         self._stalled_on = None
         self.pc = pc + 1
-
-    def _retire(self, new_pc: int | None = None) -> None:
-        self.stats.instructions += 1
-        self._stalled_on = None
-        self.pc = new_pc if new_pc is not None else self.pc + 1
-
-    def _read_reg_or_imm(self, operand) -> float:
-        if isinstance(operand, Reg):
-            return self.registers[operand.index]
-        if isinstance(operand, Imm):
-            return operand.value
-        raise SimulationError(
-            f"EP branch condition {operand} must be a register or immediate"
-        )
-
-    def _read(self, operand) -> float:
-        if isinstance(operand, Reg):
-            return self.registers[operand.index]
-        if isinstance(operand, Imm):
-            return operand.value
-        assert isinstance(operand, Queue)
-        return self.queues.resolve(operand).pop()

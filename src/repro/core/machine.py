@@ -18,16 +18,20 @@ always indicates a miscompiled program (e.g. EP pops a queue the AP never
 feeds), and the stall-cause breakdown in the exception message says which.
 
 **Schedulers.**  ``run`` picks one of the loops in
-:data:`SMAMachine.SCHEDULERS`.  ``"naive"`` ticks every cycle and is the
-reference the fast loop must match bit for bit.  The default,
-``"event-horizon"``, steps through decode-cached fast paths and, when
-both processors are stalled, jumps the clock to the next memory event —
-a load maturing or a busy bank freeing
-(:meth:`repro.memory.BankedMemory.next_event_time`) — replaying the
-skipped cycles' statistic increments in closed form.  The processors
-talk only through queues, so once both are stalled nothing but the
-memory can wake the machine.  An attached ``observer`` forces naive
-ticking, so trace collectors see every cycle.
+:data:`SMAMachine.SCHEDULERS`.  Both call the same unit steps (one
+``step``/``tick`` per unit).  ``"naive"`` is the jump-free reference
+loop: it ticks every cycle, samples every queue each cycle, delivers
+completions through :meth:`repro.memory.BankedMemory.tick` and serves
+every observer.  The default, ``"event-horizon"``, delivers completions
+inline, accounts queue occupancy lazily and, when both processors are
+stalled, jumps the clock to the next memory event — a load maturing or
+a busy bank freeing (:meth:`repro.memory.BankedMemory.next_event_time`),
+or the end of a speculation rollback penalty — replaying the skipped
+cycles' statistic increments in closed form.  The processors talk only
+through queues, so once both are stalled nothing but the memory (and
+the penalty clock) can wake the machine.  An attached ``observer``
+forces naive ticking, so trace collectors see every cycle, and so does
+fault injection.
 
 The metrics layer (:meth:`SMAMachine.attach_metrics`) is *not* an
 observer: its per-cycle stall classifier and stride samplers replay in
@@ -136,6 +140,34 @@ class SMAResult:
             f"  ({self.lod_stall_cycles} stall cycles)",
         ]
         return "\n".join(lines)
+
+
+def speculation_horizon(horizon, specs):
+    """Bound a memory ``horizon(now)`` by the rollback penalties of
+    ``specs``: ``penalty_until`` is a speculation engine's only timed
+    state, and the AP stalls on ``misspeculation`` until it.  A penalty
+    ending at ``now`` itself still bounds, so a jump from ``now`` never
+    replays the first cycle the AP may issue again."""
+    if not specs:
+        return horizon
+
+    def bounded(now: int) -> int | None:
+        t = horizon(now)
+        for spec in specs:
+            end = spec.penalty_until
+            if end >= now and (t is None or end < t):
+                t = end
+        return t
+
+    return bounded
+
+
+def resolutions(specs) -> int:
+    """Predictions resolved so far (commits + rollbacks) over ``specs``.
+    A resolution changes state without retiring an instruction, so the
+    event-horizon loops compare this across a template cycle before
+    jumping."""
+    return sum(s.stats.commits + s.stats.rollbacks for s in specs)
 
 
 class SMAMachine:
@@ -293,15 +325,15 @@ class SMAMachine:
         from .speculation import SpeculationEngine
 
         self._spec = SpeculationEngine(self, spec_cfg, oracle=oracle)
-        self.ap._spec = self._spec
+        self.ap.attach_speculation(self._spec)
 
     def step_cycles(self, count: int) -> int:
         """Advance up to ``count`` cycles, stopping early at completion;
         returns the number of cycles advanced.  Used for mid-run
         checkpoints and the service's bounded slices.
 
-        Runs the loop :meth:`run` would pick (faults and speculation
-        still downgrade to naive ticking) with the budget set to exactly
+        Runs the loop :meth:`run` would pick (fault injection still
+        downgrades to naive ticking) with the budget set to exactly
         ``cycle + count``: jumps are clamped to the budget and the lazy
         occupancy bracket flushes on the way out, so the state reached is
         bit-identical to ``count`` naive :meth:`step_cycle` calls.  The
@@ -428,13 +460,13 @@ class SMAMachine:
 
         ``"naive"``          tick every cycle (the reference loop)
         ``"event-horizon"``  memory-event jumps over jointly stalled
-                             spans + decode-cached fast step paths
-                             (default)
+                             spans, lazy occupancy accounting (default)
 
-        Fault injection and enabled speculation downgrade event-horizon
-        to naive.  Cycle counts and every statistic are bit-identical
-        across both (``tests/test_fast_forward.py`` and
-        ``tests/test_event_horizon.py``).
+        Fault injection downgrades event-horizon to naive; speculative
+        runs take either loop.  Cycle counts and every statistic are
+        bit-identical across both (``tests/test_fast_forward.py``,
+        ``tests/test_event_horizon.py`` and, under speculation,
+        ``tests/test_speculation.py``).
         """
         if scheduler not in self.SCHEDULERS:
             raise ValueError(
@@ -442,17 +474,10 @@ class SMAMachine:
                 + ", ".join(self.SCHEDULERS)
             )
         if self.banked.fault_injection and scheduler != "naive":
-            # event-horizon inlines memory acceptance (tick_fast /
-            # step_fast) and jumps over cycles in which the deterministic
-            # fault predicate would have changed its verdict; only naive
-            # ticking exercises the injected faults faithfully
-            scheduler = "naive"
-        spec_cfg = self.config.speculation
-        if (spec_cfg is not None and spec_cfg.enabled
-                and scheduler != "naive"):
-            # like faults: event-horizon inlines queue pops and hoists
-            # the done() predicate, bypassing the speculation hooks; only
-            # the naive loop drives prediction/resolution faithfully
+            # event-horizon delivers completions inline (bypassing the
+            # dropping FaultyMemory.tick) and jumps over cycles in which
+            # the deterministic fault predicate would have changed its
+            # verdict; only naive ticking exercises the faults faithfully
             scheduler = "naive"
         if observer is not None:
             return self._run_naive(max_cycles, deadlock_window, observer)
@@ -541,7 +566,11 @@ class SMAMachine:
         self, max_cycles: int, deadlock_window: int
     ) -> SMAResult:
         """The event-horizon simulation loop (see module docstring),
-        under lazy occupancy accounting (:meth:`lazy_occupancy`)."""
+        under lazy occupancy accounting (:meth:`lazy_occupancy`).  The
+        speculation engine (and its oracle pre-run) is built first, as
+        :meth:`step_cycle` would on the first cycle."""
+        if not self._spec_ready:
+            self._ensure_speculation()
         with self.lazy_occupancy() as clock:
             self._event_horizon_loop(max_cycles, deadlock_window, clock)
         return self.collect_result()
@@ -549,17 +578,19 @@ class SMAMachine:
     def _event_horizon_loop(
         self, max_cycles: int, deadlock_window: int, clock
     ) -> None:
-        """One fused loop: inlined completion delivery, fast component
-        step paths, and jumps to the next memory event.
+        """One fused loop: inlined completion delivery, the unit steps
+        hoisted into locals, and jumps to the next memory event.
 
         A jump is only *planned* when this cycle delivered no completion
         and both processors ended their last step blocked; it is only
         *taken* after one live template cycle confirms (via the plain-int
         progress probe) that nothing moved — the pre-step flags can be
         stale (e.g. the EP freed a queue after the AP's stall was
-        recorded).  The jump target is the memory's next event after the
-        template: with every unit idle and nothing issued, no state but
-        the memory's changes with time.  Replayed spans go through
+        recorded), and that it resolved no speculation frame (a commit or
+        rollback retires nothing).  The jump target is the next event
+        after the template: with every unit idle and nothing issued, no
+        state but the memory's and the rollback-penalty clock's changes
+        with time (:func:`speculation_horizon`).  Replayed spans go through
         :meth:`_replay_fast`; deadlock and cycle-budget diagnostics fire
         at the identical cycle as naive ticking.
         """
@@ -579,20 +610,24 @@ class SMAMachine:
         engine_stats = engine.stats
         su_stats = su.stats
         pop = heapq.heappop
-        su_tick = su.tick_fast
-        engine_tick = engine.tick_fast
-        ap_step = ap.step_fast
-        ep_step = ep.step_fast
-        horizon = banked.next_event_time
+        su_tick = su.tick
+        engine_tick = engine.tick
+        ap_step = ap.step
+        ep_step = ep.step
+        spec = self._spec
+        specs = () if spec is None else (spec,)
+        spec_stack = () if spec is None else spec.stack
+        horizon = speculation_horizon(banked.next_event_time, specs)
         take_snapshot = self.stall_snapshot
         last_progress_cycle = 0
         p_ap = p_ep = p_req = p_st = p_mem = -1
         # the loop condition is self.done() spelled out over the hoisted
-        # locals (identity-stable containers), saving five delegated
+        # locals (identity-stable containers), saving six delegated
         # calls per simulated cycle
         while not (
             ap.halted and ep.halted and not engine_streams
             and not saq_slots and (not owns_memory or not comps)
+            and not spec_stack
         ):
             now = self.cycle
             if now >= max_cycles:
@@ -615,7 +650,8 @@ class SMAMachine:
                 t = horizon(now)
                 if t is None or t > now + 1:
                     snapshot = take_snapshot()
-            # each fast step begins with the same emptiness/halt check;
+                    resolved = resolutions(specs) if specs else 0
+            # each unit step begins with the same emptiness/halt check;
             # doing it here skips the call entirely on quiet components
             if saq_slots:
                 su_tick(now)
@@ -625,6 +661,8 @@ class SMAMachine:
                 ap_step(now)
             if not ep.halted:
                 ep_step(now)
+            if spec is not None:
+                spec.on_cycle(self, now)
             if metrics is not None:
                 metrics.on_cycle(self, now)
             self.cycle = now + 1
@@ -644,7 +682,11 @@ class SMAMachine:
                 p_mem = mem
                 last_progress_cycle = self.cycle
                 continue
-            if snapshot is not None:
+            # a commit or rollback changes state without retiring
+            # anything: such a template is not idle
+            if snapshot is not None and (
+                not specs or resolutions(specs) == resolved
+            ):
                 target = horizon(self.cycle)
                 bound = last_progress_cycle + deadlock_window + 1
                 if target is None or target > bound:
@@ -678,6 +720,7 @@ class SMAMachine:
         ap = self.ap.stats
         ep = self.ep.stats
         su = self.store_unit.stats
+        spec = self._spec
         return (
             dict(ap.stall_cycles),
             ap.lod_events,
@@ -689,6 +732,9 @@ class SMAMachine:
                 (q.stats.empty_stalls, q.stats.full_stalls)
                 for q in self._queue_list
             ],
+            # a stalled speculative AP refuses a prediction every cycle
+            None if spec is None
+            else (spec.stats.depth_refusals, spec.stats.oracle_refusals),
         )
 
     def _replay_fast(self, snapshot, count: int) -> None:
@@ -706,7 +752,7 @@ class SMAMachine:
         flush (contents are constant across it).
         """
         ap_before, lod_before, ep_before, blocked_before, \
-            dwait_before, mwait_before, queues_before = snapshot
+            dwait_before, mwait_before, queues_before, spec_before = snapshot
         ap = self.ap.stats
         for cause, value in ap.stall_cycles.items():
             delta = value - ap_before.get(cause, 0)
@@ -735,6 +781,13 @@ class SMAMachine:
             delta = stats.full_stalls - full_before
             if delta:
                 stats.full_stalls += delta * count
+        if spec_before is not None:
+            spec = self._spec.stats
+            depth_before, oracle_before = spec_before
+            spec.depth_refusals += (spec.depth_refusals - depth_before) * count
+            spec.oracle_refusals += (
+                spec.oracle_refusals - oracle_before
+            ) * count
         if self._metrics is not None:
             # skipped cycles are self.cycle .. self.cycle + count - 1
             self._metrics.on_replay(self, self.cycle, count)

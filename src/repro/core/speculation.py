@@ -53,10 +53,18 @@ Mechanism
   (recovery penalty + speculation barriers); every elapsed cycle stays
   attributed to exactly one bucket.
 
-The speculative run itself uses only the reference (naive) scheduler —
-event-horizon downgrades, exactly as it does for fault injection; the
-oracle pre-run is non-speculative and fault-free, so it takes the fast
-path.  Streams are speculation barriers: a descriptor op stalls
+* **Scheduling.**  Speculative runs take either loop.  Attaching the
+  engine re-decodes the AP's LDQ, STADDR, FROMQ and BQ kinds into
+  handlers that call the hooks below; every unit step treats a poisoned
+  head as not ready.  The event-horizon loops call
+  ``SpeculationEngine.on_cycle`` after the processors step, stay running
+  while a frame is open, jump no further than ``penalty_until`` (the
+  engine's only timed state), never jump from a template cycle that
+  committed or rolled back a frame, and replay the per-cycle refusal
+  counters of a stalled span in closed form.  The oracle pre-run is
+  non-speculative and fault-free, and takes the event-horizon loop.
+
+Streams are speculation barriers: a descriptor op stalls
 (``spec_barrier``) until all frames resolve.
 """
 
@@ -66,7 +74,6 @@ from dataclasses import dataclass, field, replace
 
 from ..config import SpeculationConfig
 from ..errors import QueueError, SimulationError
-from ..isa.operands import QueueSpace
 
 
 @dataclass
@@ -143,8 +150,8 @@ def build_oracle(machine, max_cycles: int = 10_000_000) -> dict:
     taps = {"eaq": [], "ebq": []}
     ref.queues.ep_to_ap_data._tap = taps["eaq"]
     ref.queues.ep_to_ap_branch._tap = taps["ebq"]
-    # the taps record inside OperandQueue.pop, which the event-horizon
-    # step_fast paths call for every EAQ/EBQ pop
+    # the taps record inside OperandQueue.pop, which the AP step calls
+    # for every EAQ/EBQ pop
     ref.run(max_cycles=max_cycles, scheduler="event-horizon")
     return taps
 
@@ -154,7 +161,7 @@ class SpeculationEngine:
 
     The AP calls in through four hooks (``ap_blocked``, ``ap_fromq``,
     ``ap_branch_value``, ``ap_stream_barrier`` plus ``note_reserved``);
-    the machine calls :meth:`on_cycle` once per cycle after both
+    both machine loops call :meth:`on_cycle` once per cycle after both
     processors have stepped, which is where predictions resolve.
     """
 
@@ -213,34 +220,30 @@ class SpeculationEngine:
             slot.poisoned = True
             self.stack[-1].reserved.append((queue, slot))
 
-    def ap_fromq(self, ap, instr, src, queue) -> bool:
-        """Speculation-aware FROMQ; mirrors ``AccessProcessor._fromq``."""
-        space = src.space
-        if space is QueueSpace.EAQ:
-            key, cause = "eaq", "lod_eaq"
-        elif space is QueueSpace.EBQ:
-            key, cause = "ebq", "lod_ebq"
-        else:
-            key, cause = None, "iq_empty"
-        if key is None:
+    def ap_fromq(self, ap, queue, cause: str, dest: int) -> bool:
+        """Speculation-aware FROMQ of ``queue`` into register ``dest``;
+        ``cause`` is the instruction's stall cause, which names the
+        queue's space.  Returns whether the AP retires it."""
+        if cause == "iq_empty":
             # index queue: never predicted, but the speculative AP may
             # consume its own poisoned run-ahead data (undoably)
             if self.stack:
                 if queue.head_filled():
                     slot = queue.pop_slot()
                     self.stack[-1].popped.append((queue, slot))
-                    ap.registers[instr.dest.index] = slot.value
+                    ap.registers[dest] = slot.value
                     return True
             elif queue.head_ready():
-                ap.registers[instr.dest.index] = queue.pop()
+                ap.registers[dest] = queue.pop()
                 return True
             queue.note_empty_stall()
             ap._stall(cause)
             return False
+        key = "eaq" if cause == "lod_eaq" else "ebq"
         value = self._consume(ap, key, queue, cause)
         if value is None:
             return False
-        ap.registers[instr.dest.index] = value
+        ap.registers[dest] = value
         return True
 
     def ap_branch_value(self, ap):

@@ -41,40 +41,19 @@ class StoreUnit:
         self.stats = StoreUnitStats()
 
     def tick(self, now: int) -> bool:
-        """Try to issue one paired store; returns True if one was issued."""
-        saq = self.queues.store_addr
-        if not saq.head_ready():
-            return False
-        addr, data_queue_index = saq.peek()
-        data_queue = self.queues.store_data[data_queue_index]
-        if not data_queue.head_ready():
-            self.stats.data_wait_cycles += 1
-            data_queue.note_empty_stall()
-            return False
-        if not self.memory.can_accept(addr, now):
-            self.stats.memory_wait_cycles += 1
-            return False
-        accepted = self.memory.try_issue(
-            addr, now, is_write=True, value=data_queue.peek()
-        )
-        assert accepted
-        saq.pop()
-        data_queue.pop()
-        self.stats.stores_issued += 1
-        return True
+        """Try to issue one paired store; returns True if one was issued.
 
-    def tick_fast(self, now: int) -> bool:
-        """Hand-inlined twin of :meth:`tick` for the event-horizon
-        scheduler's hot loop: the queue-head probes, the memory
-        port/bank check and the accept bookkeeping of
-        ``BankedMemory.try_issue`` are flattened into local accesses.
-        Must stay behaviorally identical to ``tick`` (same stall notes,
-        same stats, same issue decisions); the equivalence suite in
-        ``tests/test_event_horizon.py`` holds the two together."""
+        Needs a ready (filled, unpoisoned) SAQ head, a filled head on its
+        data queue (else a data wait; store data comes from the
+        non-speculative EP, so it is never poisoned) and an accepting
+        memory: the
+        :attr:`BankedMemory.reject` hook, then the port and bank test
+        (else a memory wait).  The queue probes and the accept side of
+        :meth:`BankedMemory.try_issue` are inlined as local accesses."""
         queues = self.queues
         saq = queues.store_addr
         sslots = saq._slots
-        if not sslots or not sslots[0].filled:
+        if not sslots or not sslots[0].filled or sslots[0].poisoned:
             return False
         addr, data_queue_index = sslots[0].value
         data_queue = queues.store_data[data_queue_index]
@@ -87,11 +66,12 @@ class StoreUnit:
         config = memory.config
         bank = addr % config.num_banks
         cyc, cnt = memory._issues_at
-        if (cyc == now and cnt >= config.accepts_per_cycle) or \
+        if (memory.reject is not None and memory.reject(addr, now)) or \
+                (cyc == now and cnt >= config.accepts_per_cycle) or \
                 memory._bank_free_at[bank] > now:
             self.stats.memory_wait_cycles += 1
             return False
-        # accept (mirrors BankedMemory.try_issue with the checks above)
+        # accept (BankedMemory.try_issue with the checks above done)
         memory._issues_at = (now, cnt + 1) if cyc == now else (now, 1)
         memory._bank_free_at[bank] = now + config.bank_busy
         mstats = memory.stats

@@ -50,9 +50,14 @@ class BankedMemory:
     """Cycle-stepped interleaved memory front-end over a MainMemory."""
 
     #: True on fault-injecting subclasses; the run loops consult this to
-    #: avoid the event-horizon scheduler, whose inlined fast paths bypass
-    #: the overridable ``can_accept``/``try_issue`` pair.
+    #: stay on the naive loop, whose per-cycle :meth:`tick` delivers (or
+    #: drops) every completion and whose clock never jumps over a cycle
+    #: in which the fault predicate would change its verdict.
     fault_injection = False
+    #: transient-reject predicate ``reject(addr, now) -> bool`` consulted
+    #: by every acceptance check before the port/bank test; ``None`` on a
+    #: fault-free memory (:class:`FaultyMemory` installs its own).
+    reject = None
 
     def __init__(self, storage: MainMemory, config: MemoryConfig):
         self.storage = storage
@@ -78,6 +83,8 @@ class BankedMemory:
     def can_accept(self, addr, now: int) -> bool:
         """Would a request to ``addr`` be accepted this cycle?"""
         a = as_address(addr)
+        if self.reject is not None and self.reject(a, now):
+            return False
         bank = a % self.config.num_banks
         cycle, count = self._issues_at
         if cycle == now and count >= self.config.accepts_per_cycle:
@@ -100,6 +107,8 @@ class BankedMemory:
         :meth:`tick` reaches ``now + latency``.
         """
         a = as_address(addr)
+        if self.reject is not None and self.reject(a, now):
+            return False
         bank = a % self.config.num_banks
         cycle, count = self._issues_at
         if cycle == now and count >= self.config.accepts_per_cycle:
@@ -144,10 +153,10 @@ class BankedMemory:
 
     def squash_completions(self, slots) -> int:
         """Remove in-flight completions that would fill one of ``slots``
-        (speculative rollback, PR 8).  Load-completion callbacks carry
-        their target slot as a bound default (the same encoding the
-        checkpoint layer introspects), so matching is by slot identity;
-        completions for other consumers are untouched.  Returns the
+        (speculative rollback).  Every load completion is scheduled as
+        ``partial(queue.fill, slot)`` (the encoding the checkpoint layer
+        introspects too), so matching is by the identity of the partial's
+        first argument; other callbacks are untouched.  Returns the
         number of completions squashed."""
         if not self._completions:
             return 0
@@ -155,14 +164,15 @@ class BankedMemory:
         keep = []
         removed = 0
         for entry in self._completions:
-            defaults = getattr(entry[2], "__defaults__", None) or ()
-            if any(id(d) in ids for d in defaults):
+            args = getattr(entry[2], "args", None)
+            if args and id(args[0]) in ids:
                 removed += 1
             else:
                 keep.append(entry)
         if removed:
+            # in place: the event-horizon loops hold the list itself
             heapq.heapify(keep)
-            self._completions = keep
+            self._completions[:] = keep
         return removed
 
     def quiescent(self) -> bool:
@@ -197,20 +207,22 @@ class FaultyMemory(BankedMemory):
     Two fault classes, both parameterized by :class:`FaultConfig`:
 
     * **transient rejects** — a hash over ``(address, cycle, seed)``
-      rejects a fraction of requests.  The predicate is evaluated
-      identically in :meth:`can_accept` and :meth:`try_issue`, so the
-      reference components' paired ``can_accept``/``assert try_issue``
-      protocol stays sound.  Requesters simply retry, so this perturbs
-      timing only — functional results are unchanged.
-    * **dropped completions** — the first ``drop_completions`` accepted
-      loads have their in-flight completion silently discarded, leaving a
-      reserved-but-never-filled queue slot.  A correct watchdog then
-      reports a deadlock (``SimulationError``) instead of hanging.
+      rejects a fraction of requests.  The predicate is installed as the
+      :attr:`BankedMemory.reject` hook, which every requester evaluates
+      before the port/bank test, and each rejection it reports is
+      counted in ``injected_rejects`` (one per requester per cycle).
+      Requesters simply retry, so this perturbs timing only — functional
+      results are unchanged.
+    * **dropped completions** — :meth:`tick` silently discards the first
+      ``drop_completions`` completions it would deliver, leaving a
+      reserved-but-never-filled queue slot.  Completions deliver in
+      issue order (fixed latency), so these are the first accepted
+      loads.  A correct watchdog then reports a deadlock
+      (``SimulationError``) instead of hanging.
 
-    The event-horizon scheduler bypasses these overrides (it inlines
-    memory acceptance and jumps over cycles where the predicate would
-    change its verdict), so the run loops downgrade to ``naive``
-    whenever :attr:`fault_injection` is set.
+    The event-horizon loops deliver completions inline and jump over
+    cycles in which the predicate would change its verdict, so the run
+    loops stay on ``naive`` whenever :attr:`fault_injection` is set.
     """
 
     fault_injection = True
@@ -222,53 +234,26 @@ class FaultyMemory(BankedMemory):
         self.injected_rejects = 0
         self.dropped_completions = 0
         self._drop_budget = faults.drop_completions
+        if faults.reject_prob > 0.0:
+            self.reject = self._fault_reject
 
     def _fault_reject(self, a: int, now: int) -> bool:
-        """Deterministic per-(address, cycle) reject predicate."""
-        p = self.faults.reject_prob
-        if p <= 0.0:
-            return False
+        """Deterministic per-(address, cycle) reject predicate; counts
+        every rejection it reports."""
         h = (a * 2654435761 + now * 40503 + self.faults.seed * 97) & 0xFFFFFFFF
         h ^= h >> 16
         h = (h * 0x45D9F3B) & 0xFFFFFFFF
         h ^= h >> 16
-        return h / 2.0 ** 32 < p
-
-    def can_accept(self, addr, now: int) -> bool:
-        if self._fault_reject(as_address(addr), now):
-            # counted here as well as in try_issue: protocol-following
-            # requesters poll can_accept and never reach try_issue when
-            # the fault fires (one poll per requester per cycle, so the
-            # count tracks injected stall decisions)
+        if h / 2.0 ** 32 < self.faults.reject_prob:
             self.injected_rejects += 1
-            return False
-        return super().can_accept(addr, now)
+            return True
+        return False
 
-    def try_issue(
-        self,
-        addr,
-        now: int,
-        *,
-        is_write: bool = False,
-        value: float | None = None,
-        on_complete: Callable[[Optional[float]], None] | None = None,
-    ) -> bool:
-        if self._fault_reject(as_address(addr), now):
-            self.injected_rejects += 1
-            return False
-        accepted = super().try_issue(
-            addr, now, is_write=is_write, value=value, on_complete=on_complete
-        )
-        if accepted and on_complete is not None and self._drop_budget > 0:
-            # Discard the completion just scheduled (seq == self._seq);
-            # its reserved queue slot will never fill.
-            for i, entry in enumerate(self._completions):
-                if entry[1] == self._seq:
-                    last = self._completions.pop()
-                    if i < len(self._completions):
-                        self._completions[i] = last
-                    heapq.heapify(self._completions)
-                    break
+    def tick(self, now: int) -> None:
+        comps = self._completions
+        while self._drop_budget > 0 and comps and comps[0][0] <= now:
+            # its reserved queue slot will never fill
+            heapq.heappop(comps)
             self._drop_budget -= 1
             self.dropped_completions += 1
-        return accepted
+        super().tick(now)

@@ -297,8 +297,8 @@ class TestMemError:
         machine = SMAMachine(lowered.access_program,
                              lowered.execute_program, cfg)
         _load_inputs(machine, lowered.layout, kernel, inputs)
-        # fast schedulers are downgraded under fault injection; asking
-        # for event-horizon must still run correctly (as naive)
+        # event-horizon is downgraded under fault injection; asking for
+        # it must still run correctly (as naive)
         result = machine.run(scheduler="event-horizon")
         assert machine.banked.fault_injection
         assert machine.banked.injected_rejects > 0

@@ -1,9 +1,12 @@
 """BankedMemory timing: latency, bank conflicts, port limit, ordering."""
 
+from functools import partial
+
 import pytest
 
 from repro.config import MemoryConfig
 from repro.memory import BankedMemory, MainMemory
+from repro.queues import OperandQueue
 
 
 def make(latency=4, banks=4, busy=2, accepts=1, size=256):
@@ -115,3 +118,22 @@ class TestOrdering:
         for t in range(6):
             mem.tick(t)
         assert order == ["a", "b"]
+
+
+class TestSquash:
+    def test_squash_matches_partial_fill_by_slot(self):
+        """Every load completion is ``partial(queue.fill, slot)``; a
+        rollback squashes the ones targeting its slots, by slot identity
+        (equal-valued slots elsewhere survive), and leaves the heap in
+        place for loops that hold it."""
+        mem = make(latency=4, banks=4, busy=1, accepts=2)
+        queue = OperandQueue("lq0", 4)
+        doomed, kept = queue.reserve(), queue.reserve()
+        heap = mem._completions
+        assert mem.try_issue(0, now=0, on_complete=partial(queue.fill, doomed))
+        assert mem.try_issue(1, now=0, on_complete=partial(queue.fill, kept))
+        assert mem.squash_completions([doomed]) == 1
+        assert mem._completions is heap and len(heap) == 1
+        mem.tick(4)
+        assert kept.filled and not doomed.filled
+        assert mem.squash_completions([doomed]) == 0

@@ -514,11 +514,12 @@ def test_random_reduction_kernels(n, op, init, seed):
 # loss-of-decoupling event accounting across every execution engine
 # ---------------------------------------------------------------------------
 #
-# The naive step counts a LOD episode on any transition into a ``lod_*``
-# stall, while the fast step's FROMQ path tests ``cause != "iq_empty"``
-# and the batch engine keeps its own per-lane transition mask.  A kernel
-# whose AP alternates ``lod_eaq`` -> ``iq_empty`` -> ``lod_eaq`` every
-# element is exactly where those three conditions could drift apart, so
+# ``AccessProcessor._stall`` (stream and speculative stalls) counts a LOD
+# episode on any transition into a ``lod_*`` stall, while the step's
+# inlined FROMQ path tests ``cause != "iq_empty"`` and the batch engine
+# keeps its own per-lane transition mask.  A kernel whose AP alternates
+# ``lod_eaq`` -> ``iq_empty`` -> ``lod_eaq`` every element is exactly
+# where those three conditions could drift apart, so
 # the property pins (lod_events, every stall bucket, cycles) across all
 # registered schedulers, the batch engine, and a snapshot/restore taken
 # in the middle of a LOD stall.

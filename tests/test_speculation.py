@@ -15,9 +15,11 @@ The contract under test (ARCHITECTURE §20):
 
 import hashlib
 import json
+import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import (
     MemoryConfig,
@@ -25,12 +27,14 @@ from repro.config import (
     SMAConfig,
     SpeculationConfig,
 )
-from repro.core import SMAMachine
+from repro.core import SMACluster, SMAMachine
 from repro.core.speculation import build_oracle
 from repro.errors import CheckpointError
 from repro.harness.experiments import SPECULATION_REPS
 from repro.harness.runner import _fit_memory, _load_inputs, run_on_sma
 from repro.kernels import get_kernel, lower_sma
+
+from tests.test_event_horizon import _full_observables
 
 #: (kernel, lod_variant): every speculation-relevant lowering shape
 CASES = (
@@ -61,18 +65,22 @@ def _digest(run):
     return h.hexdigest()
 
 
-def _build(name, variant, speculation, n=32, seed=7):
+def _build(name, variant, speculation, n=32, seed=7, latency=16,
+           queues=QueueConfig(), metrics=False):
     kernel, inputs = get_kernel(name).instantiate(n, seed)
     lowered = lower_sma(kernel, lod_variant=variant)
+    mem = MemoryConfig(latency=latency, bank_busy=max(1, latency // 2))
     cfg = SMAConfig(
-        memory=_fit_memory(MEM, lowered.layout),
-        queues=QueueConfig(),
+        memory=_fit_memory(mem, lowered.layout),
+        queues=queues,
         speculation=speculation,
     )
     machine = SMAMachine(
         lowered.access_program, lowered.execute_program, cfg
     )
     _load_inputs(machine, lowered.layout, kernel, inputs)
+    if metrics:
+        machine.attach_metrics()
     return machine
 
 
@@ -160,16 +168,180 @@ class TestRecovery:
 
 
 class TestScheduling:
-    def test_run_downgrades_fast_schedulers(self):
-        machine = _build(
-            "computed_gather", None, SpeculationConfig(mode="perfect")
-        )
+    def test_run_keeps_event_horizon(self, monkeypatch):
+        """A speculative run stays on the event-horizon loop it asks for
+        (the naive loop is never entered) and matches naive ticking."""
         want = _build(
             "computed_gather", None, SpeculationConfig(mode="perfect")
         ).run(scheduler="naive")
-        got = machine.run(scheduler="event-horizon")  # silently downgraded
-        assert got.cycles == want.cycles
-        assert got.speculation == want.speculation
+        machine = _build(
+            "computed_gather", None, SpeculationConfig(mode="perfect")
+        )
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("speculative run fell back to naive")
+
+        monkeypatch.setattr(SMAMachine, "_run_naive", refuse)
+        got = machine.run(scheduler="event-horizon")
+        assert got.to_dict() == want.to_dict()
+
+    def test_rf9_depth1_row_replays_refusals(self, monkeypatch):
+        """The R-F9 depth-1 row is refusal-bound: the AP asks for a
+        second prediction every cycle its one frame is open, and those
+        cycles are jointly stalled.  With the naive loop forbidden, the
+        row must still match the golden table, with at least one
+        replayed span in which the refusal count grew."""
+        from repro.harness.experiments import fig9_spec_depth
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("speculative run fell back to naive")
+
+        refusal_spans = []
+        replay = SMAMachine._replay_fast
+
+        def spy(machine, snapshot, count):
+            before = machine._spec and machine._spec.stats.depth_refusals
+            replay(machine, snapshot, count)
+            if machine._spec and machine._spec.stats.depth_refusals > before:
+                refusal_spans.append(count)
+
+        monkeypatch.setattr(SMAMachine, "_run_naive", refuse)
+        monkeypatch.setattr(SMAMachine, "_replay_fast", spy)
+        golden = json.loads(
+            (pathlib.Path(__file__).parent / "golden_experiments.json")
+            .read_text()
+        )["tables"]["R-F9"]
+        table = fig9_spec_depth(
+            n=golden["kwargs"]["n"], reps=SPECULATION_REPS[:1], depths=(1,)
+        )
+        row = json.loads(json.dumps(list(table.rows[0])))
+        assert row == golden["rows"][0]
+        assert row[golden["columns"].index("depth_refusals")] > 0
+        assert sum(refusal_spans) > 0
+
+
+# ---------------------------------------------------------------------------
+# naive vs event-horizon under speculation
+# ---------------------------------------------------------------------------
+#
+# Both loops call the same unit steps, so these draws check what only the
+# event-horizon loop does: jumps over jointly stalled spans, their
+# closed-form replay (refusal counters included), the rollback-penalty
+# bound on the horizon, and the template confirm that a cycle which
+# committed or rolled back a prediction is not idle.  Large penalties and
+# shallow depths put rollbacks and refusal stalls next to jumped spans.
+
+SPEC_DRAWS = dict(
+    case=st.sampled_from(CASES),
+    accuracy=st.sampled_from((0.3, 0.6, 0.9, 1.0)),
+    max_depth=st.integers(1, 4),
+    penalty=st.sampled_from((0, 1, 3, 24)),
+    latency=st.sampled_from((4, 16, 48)),
+    seed=st.integers(0, 2**16),
+)
+
+
+def _spec_config(accuracy, max_depth, penalty, seed):
+    return SpeculationConfig(accuracy=accuracy, max_depth=max_depth,
+                             rollback_penalty=penalty, seed=seed)
+
+
+def _loop_observables(machine, result):
+    obs = _full_observables(machine, result)
+    obs["speculation"] = result.speculation
+    return obs
+
+
+def _spec_machine(case, speculation, latency):
+    return _build(
+        *case, speculation, n=20, seed=3, latency=latency,
+        queues=QueueConfig(load_queue_depth=4, index_queue_depth=4),
+        metrics=True,
+    )
+
+
+def _spec_cluster(cases, speculation, latency, n=16):
+    base = 16
+    staged = []
+    for name, variant in cases:
+        kernel, inputs = get_kernel(name).instantiate(n, 3)
+        low = lower_sma(kernel, base=base, lod_variant=variant)
+        staged.append((low, kernel, inputs))
+        base = low.layout.end + 16
+    mem = MemoryConfig(latency=latency, bank_busy=max(1, latency // 2),
+                       num_banks=4, size=base + 16)
+    cluster = SMACluster(
+        [(low.access_program, low.execute_program) for low, _, _ in staged],
+        SMAConfig(memory=mem, queues=QueueConfig(load_queue_depth=4),
+                  speculation=speculation),
+    )
+    for low, kernel, inputs in staged:
+        for decl in kernel.arrays:
+            cluster.load_array(low.layout.base(decl.name), inputs[decl.name])
+    cluster.attach_metrics()
+    return cluster
+
+
+@settings(max_examples=25, deadline=None)
+@given(**SPEC_DRAWS)
+def test_machine_loops_agree_under_speculation(
+    case, accuracy, max_depth, penalty, latency, seed
+):
+    spec = _spec_config(accuracy, max_depth, penalty, seed)
+    observed = []
+    for scheduler in SMAMachine.SCHEDULERS:
+        machine = _spec_machine(case, spec, latency)
+        result = machine.run(scheduler=scheduler)
+        observed.append(_loop_observables(machine, result))
+    naive, fast = observed
+    assert fast == naive
+
+
+@settings(max_examples=10, deadline=None)
+@given(other=st.sampled_from(CASES), **SPEC_DRAWS)
+def test_cluster_loops_agree_under_speculation(
+    other, case, accuracy, max_depth, penalty, latency, seed
+):
+    spec = _spec_config(accuracy, max_depth, penalty, seed)
+    observed = []
+    for scheduler in SMAMachine.SCHEDULERS:
+        cluster = _spec_cluster((case, other), spec, latency)
+        result = cluster.run(scheduler=scheduler)
+        observed.append({
+            "cycles": result.cycles,
+            "finish": result.finish_cycles,
+            "nodes": [
+                _loop_observables(node, node_result)
+                for node, node_result in zip(cluster.nodes, result.nodes)
+            ],
+            "contention": result.contention(),
+        })
+    naive, fast = observed
+    assert fast == naive
+
+
+def test_jumps_end_at_the_rollback_penalty(monkeypatch):
+    """A long penalty with both processors stalled is jumped, and the
+    jump stops exactly where the AP may issue again — the penalty bound
+    on the horizon is live, not just sound."""
+    ends = []
+    replay = SMAMachine._replay_fast
+
+    def spy(machine, snapshot, count):
+        replay(machine, snapshot, count)
+        if machine.cycle == machine._spec.penalty_until:
+            ends.append(count)
+
+    monkeypatch.setattr(SMAMachine, "_replay_fast", spy)
+    spec = _spec_config(0.5, 2, 24, 1)
+    machine = _spec_machine(("pic_gather", "addr"), spec, latency=4)
+    got = machine.run()
+    monkeypatch.undo()
+    want = _spec_machine(("pic_gather", "addr"), spec, latency=4)
+    assert _loop_observables(machine, got) == \
+        _loop_observables(want, want.run(scheduler="naive"))
+    assert got.speculation["rollbacks"] > 0
+    assert ends, "no jump ended at a rollback penalty"
 
 
 class TestOracle:

@@ -9,7 +9,9 @@ under test:
   event-horizon jump, where the stop clamps the jump;
 * a snapshot taken after ``step_cycles``, restored and run to completion,
   equals a straight run;
-* fault and speculation configurations still step on the naive loop;
+* fault-injected machines and clusters still step on the naive loop,
+  while speculative machines step on the event-horizon loop and match
+  naive single steps;
 * a deadlocking program raises the same deadlock error from
   ``step_cycles`` as from ``run()``.
 """
@@ -182,48 +184,53 @@ def test_cluster_step_cycles_stops_at_done():
 
 
 # ---------------------------------------------------------------------------
-# configurations the fast loops do not serve still step naively
+# fault injection still steps naively; speculation does not
 # ---------------------------------------------------------------------------
 
 
-def _forbid_fast_loops(monkeypatch):
+def _forbid(monkeypatch, loop):
     def refuse(*_args, **_kwargs):
-        raise AssertionError("fast loop used for a naive-only config")
+        raise AssertionError(f"{loop} used")
 
-    monkeypatch.setattr(SMAMachine, "_run_event_horizon", refuse)
-    monkeypatch.setattr(SMACluster, "_run_event_horizon", refuse)
+    monkeypatch.setattr(SMAMachine, loop, refuse)
+    monkeypatch.setattr(SMACluster, loop, refuse)
 
 
 FAULTS = FaultConfig(reject_prob=0.2, seed=3)
 
 
-@pytest.mark.parametrize("config", ("faults", "speculation"))
+@pytest.mark.parametrize("config", ("faults",))
 def test_naive_only_machine_configs_step_naive(config, monkeypatch):
-    kwargs = (
-        {"faults": FAULTS} if config == "faults" else
-        {"name": "pic_gather", "variant": "addr",
-         "speculation": SpeculationConfig(mode="perfect", max_depth=4)}
-    )
-    naive = _build(**kwargs)
+    naive = _build(faults=FAULTS)
     _naive_steps(naive, 150)
-    fast = _build(**kwargs)
-    # the oracle pre-run is fast-path by design; build it before the ban
-    fast._ensure_speculation()
-    _forbid_fast_loops(monkeypatch)
+    fast = _build(faults=FAULTS)
+    _forbid(monkeypatch, "_run_event_horizon")
     assert fast.step_cycles(150) == 150
-    if config == "speculation":
-        # a snapshot is refused mid-speculation; compare what it covers
-        assert fast.cycle == naive.cycle
-        assert fast.ap.stats == naive.ap.stats
-        assert fast._spec.stats == naive._spec.stats
-    else:
-        assert fast.state_digest() == naive.state_digest()
+    assert fast.state_digest() == naive.state_digest()
+
+
+@pytest.mark.parametrize("cut", (97, 250))
+def test_speculative_step_cycles_stay_on_event_horizon(cut, monkeypatch):
+    kwargs = {"name": "pic_gather", "variant": "addr",
+              "speculation": SpeculationConfig(mode="perfect", max_depth=4)}
+    naive = _build(**kwargs)
+    _naive_steps(naive, cut)
+    fast = _build(**kwargs)
+    _forbid(monkeypatch, "_run_naive")
+    assert fast.step_cycles(cut) == cut
+    # a snapshot is refused mid-speculation; compare what it covers
+    assert fast.cycle == naive.cycle
+    assert fast.ap.stats == naive.ap.stats
+    assert fast.ep.stats == naive.ep.stats
+    assert fast._spec.stats == naive._spec.stats
+    assert [q.stats for q in fast._queue_list] == \
+        [q.stats for q in naive._queue_list]
 
 
 def test_faulty_cluster_steps_naive(monkeypatch):
     naive = _build_cluster(faults=FAULTS)
     _naive_steps(naive, 150)
-    _forbid_fast_loops(monkeypatch)
+    _forbid(monkeypatch, "_run_event_horizon")
     fast = _build_cluster(faults=FAULTS)
     assert fast.step_cycles(150) == 150
     assert fast.state_digest() == naive.state_digest()

@@ -33,6 +33,20 @@ Next to the bounds sit conservation laws of the same model:
 
 All of them are checked on random suite kernel x memory configuration
 draws and on every SMA row of ``golden_cycles.json``.
+
+A speculative run (:mod:`repro.core.speculation`) obeys laws of its own,
+checked on the 18 speculative R-T7/R-F9 jobs and on random draws:
+
+* each rollback stalls the AP on ``misspeculation`` for at most
+  ``rollback_penalty`` cycles, so
+  ``misspeculation <= rollbacks * rollback_penalty``;
+* only a mispredicted frame rolls back (a rollback may undo several
+  nested frames), so ``rollbacks <= predictions - correct_predictions``;
+* only a correct prediction commits: ``commits <= correct_predictions``;
+* a perfect predictor never rolls back;
+* the SMA cycle lower bounds above still hold;
+* the outputs are word-exact against the non-speculative run: wrong-path
+  work changes timing, never values.
 """
 
 import json
@@ -42,8 +56,16 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import MemoryConfig, SMAConfig
+from repro.config import MemoryConfig, SMAConfig, SpeculationConfig
 from repro.core import SMAMachine
+from repro.harness.experiments import (
+    SPEC_ACCURACIES,
+    SPEC_DEPTH,
+    SPEC_DEPTHS,
+    SPECULATION_REPS,
+    _spec_sma,
+)
+from repro.harness.jobs import Job
 from repro.harness.runner import _fit_memory, _load_inputs
 from repro.kernels import get_kernel, kernel_names, lower_sma
 
@@ -52,9 +74,10 @@ GOLDEN = json.loads(
 )
 
 
-def _run(name, n, seed, config, use_streams=True):
+def _run(name, n, seed, config, use_streams=True, lod_variant=None):
     kernel, inputs = get_kernel(name).instantiate(n, seed=seed)
-    lowered = lower_sma(kernel, use_streams=use_streams)
+    lowered = lower_sma(kernel, use_streams=use_streams,
+                        lod_variant=lod_variant)
     cfg = replace(config, memory=_fit_memory(config.memory, lowered.layout))
     machine = SMAMachine(
         lowered.access_program, lowered.execute_program, cfg
@@ -159,3 +182,95 @@ def test_golden_rows_respect_analytic_bounds(name, column, use_streams):
     assert result.cycles == GOLDEN["cycles"][name][column]
     _assert_bounded(machine, result)
     _assert_conserved(machine, result)
+
+
+# ---------------------------------------------------------------------------
+# speculation laws
+# ---------------------------------------------------------------------------
+
+
+def speculation_laws(config, result) -> dict[str, tuple[int, int]]:
+    """Each speculation law as ``(lhs, rhs)`` requiring ``lhs <= rhs``."""
+    spec = result.speculation
+    laws = {
+        "penalty": (
+            result.ap.stall_cycles.get("misspeculation", 0),
+            spec["rollbacks"] * config.rollback_penalty,
+        ),
+        "rollbacks": (
+            spec["rollbacks"],
+            spec["predictions"] - spec["correct_predictions"],
+        ),
+        "commits": (spec["commits"], spec["correct_predictions"]),
+    }
+    if config.mode == "perfect" or config.accuracy >= 1.0:
+        laws["perfect_never_rolls_back"] = (spec["rollbacks"], 0)
+    return laws
+
+
+def _assert_speculation_laws(name, variant, n, seed, config):
+    machine, result = _run(name, n, seed, config, lod_variant=variant)
+    broken = {
+        law: (lhs, rhs)
+        for law, (lhs, rhs) in speculation_laws(
+            config.speculation, result
+        ).items()
+        if lhs > rhs
+    }
+    assert not broken, f"speculation laws broken: {broken}"
+    _assert_bounded(machine, result)
+    plain, _ = _run(name, n, seed, replace(config, speculation=None),
+                    lod_variant=variant)
+    assert (machine.memory._words == plain.memory._words).all(), \
+        "speculation changed the outputs"
+    return result
+
+
+#: the speculative jobs of R-T7 (accuracy sweep; 0.0 is the baseline)
+#: and R-F9 (perfect predictor, depth sweep), as the experiments run them
+SPEC_JOBS = [
+    (name, variant, SpeculationConfig(accuracy=acc, max_depth=SPEC_DEPTH))
+    for name, variant in SPECULATION_REPS
+    for acc in SPEC_ACCURACIES if acc > 0.0
+] + [
+    (name, variant, SpeculationConfig(mode="perfect", max_depth=depth))
+    for name, variant in SPECULATION_REPS
+    for depth in SPEC_DEPTHS
+]
+
+
+@pytest.mark.parametrize(
+    "name, variant, speculation", SPEC_JOBS,
+    ids=[f"{n}-{v}-{s.mode}-{s.accuracy}-d{s.max_depth}"
+         for n, v, s in SPEC_JOBS],
+)
+def test_experiment_speculative_jobs_obey_laws(name, variant, speculation):
+    job = Job("sma", name, 256)
+    result = _assert_speculation_laws(
+        name, variant, job.n, job.seed, _spec_sma(speculation)
+    )
+    assert result.speculation["predictions"] > 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from((("computed_gather", None),) + SPECULATION_REPS),
+    st.sampled_from((0.25, 0.5, 0.75, 1.0)),   # accuracy
+    st.integers(1, 8),                         # max_depth
+    st.sampled_from((0, 1, 2, 5, 17)),         # rollback_penalty
+    st.integers(0, 2**16),                     # predictor seed
+    st.sampled_from((4, 16, 48)),              # latency
+)
+def test_speculation_laws_on_random_draws(
+    case, accuracy, max_depth, penalty, seed, latency
+):
+    name, variant = case
+    config = SMAConfig(
+        memory=MemoryConfig(latency=latency,
+                            bank_busy=max(1, latency // 2)),
+        speculation=SpeculationConfig(
+            accuracy=accuracy, max_depth=max_depth,
+            rollback_penalty=penalty, seed=seed,
+        ),
+    )
+    _assert_speculation_laws(name, variant, 24, 11, config)
