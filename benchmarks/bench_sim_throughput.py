@@ -22,10 +22,13 @@ cycle counts — asserted below — so the wall-clock ratio is a pure
 simulator-engineering win.
 
 A second section races the two machine schedulers (``naive`` /
-``event-horizon``) head-to-head on the *low*-latency end of the sweep,
-where whole-machine idleness is rare and the event-horizon scheduler's
-decode-cached step paths, not its memory-event jumps, have to carry the
-win.
+``event-horizon``) head-to-head.  Both loops call the same unit steps,
+so the ratio measures what the event-horizon loop saves per simulated
+cycle: memory-event jumps over jointly stalled spans, plus lazy
+queue-occupancy accounting in place of per-cycle sampling.  The full
+run sweeps the low-latency end of R-F1, where jumps are rare and only
+the per-cycle savings show; ``main --smoke`` (the CI floor) sweeps the
+high end, where jumps carry the win.
 
 A third section races the SoA batch engine (:mod:`repro.batch`)
 against per-point event-horizon runs (what ``backend="scalar"`` does)
@@ -148,16 +151,20 @@ def test_sim_throughput(capsys, monkeypatch):
 # ---------------------------------------------------------------------------
 
 #: the low-latency end of the R-F1 sweep — the regime where whole-machine
-#: idleness is rare, so any win must come from the cheaper decode-cached
-#: step paths rather than clock jumps
+#: idleness is rare, so the ratio shows only the event-horizon loop's
+#: per-cycle savings (lazy occupancy accounting), not its clock jumps
 SCHEDULER_LATENCIES = (8, 16, 32)
+
+#: the smoke sweep's latencies: the R-F1 high end, where jointly stalled
+#: spans dominate and the clock jumps carry the event-horizon win
+SMOKE_SCHEDULER_LATENCIES = (64, 256)
 
 #: where the scheduler comparison (and ``main --smoke``) records results
 BENCH_JSON = Path(__file__).resolve().parent.parent / \
     "BENCH_sim_throughput.json"
 
 #: CI smoke floor (scripts/check_bench_floor.py): event-horizon vs
-#: naive ticking on the low-latency sweep
+#: naive ticking on the smoke sweep (SMOKE_SCHEDULER_LATENCIES)
 SMOKE_FLOOR = 2.0
 
 # ---------------------------------------------------------------------------
@@ -350,7 +357,7 @@ def run_scheduler_comparison(scheduler_latencies=SCHEDULER_LATENCIES,
                              batch_n=BATCH_N,
                              batch_subsample=BATCH_SUBSAMPLE) -> dict:
     """Run both shoot-out sweeps and package the numbers for
-    ``BENCH_sim_throughput.json``: the low-latency regime (where the
+    ``BENCH_sim_throughput.json``: the scheduler regime (where the smoke
     event-horizon floor is asserted) and the fine-grid regime (where the
     batch floor is asserted)."""
     return {
@@ -442,7 +449,8 @@ def main(argv=None) -> int:
             sorted({max(1, round(2 ** (i * 9 / 11))) for i in range(12)})
         )
         data = run_scheduler_comparison(
-            scheduler_latencies=(8, 32), n=96, repeats=3,
+            scheduler_latencies=SMOKE_SCHEDULER_LATENCIES, n=96,
+            repeats=3,
             batch_latencies=smoke_latencies,
             batch_depths=tuple(range(1, 17)),
             batch_subsample=13,

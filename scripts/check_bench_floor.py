@@ -9,7 +9,7 @@ Usage::
 Reads ``BENCH_sim_throughput.json`` (default: repo root) as written by
 ``benchmarks/bench_sim_throughput.py`` and fails when any measured
 smoke ratio falls below its floor: the event-horizon scheduler against
-naive ticking on the low-latency sweep, and the SoA batch engine
+naive ticking on the high-latency smoke sweep, and the SoA batch engine
 against per-point event-horizon runs (points/second) on the fine sweep
 grid.  The floors live in the JSON itself
 (``floors.smoke_event_horizon_vs_naive``, 2x by default, and

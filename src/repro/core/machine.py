@@ -17,21 +17,27 @@ aborts with a diagnostic if no forward progress happens for
 always indicates a miscompiled program (e.g. EP pops a queue the AP never
 feeds), and the stall-cause breakdown in the exception message says which.
 
-**Schedulers.**  ``run`` picks one of the loops in
-:data:`SMAMachine.SCHEDULERS`.  Both call the same unit steps (one
-``step``/``tick`` per unit).  ``"naive"`` is the jump-free reference
-loop: it ticks every cycle, samples every queue each cycle, delivers
-completions through :meth:`repro.memory.BankedMemory.tick` and serves
-every observer.  The default, ``"event-horizon"``, delivers completions
-inline, accounts queue occupancy lazily and, when both processors are
-stalled, jumps the clock to the next memory event — a load maturing or
-a busy bank freeing (:meth:`repro.memory.BankedMemory.next_event_time`),
-or the end of a speculation rollback penalty — replaying the skipped
-cycles' statistic increments in closed form.  The processors talk only
-through queues, so once both are stalled nothing but the memory (and
-the penalty clock) can wake the machine.  An attached ``observer``
-forces naive ticking, so trace collectors see every cycle, and so does
-fault injection.
+**Schedulers.**  ``run`` picks one of the two loops in
+:data:`SMAMachine.SCHEDULERS`, :func:`naive_loop` and
+:func:`event_horizon_loop`.  Both drive a list of nodes against one
+clock owner — ``[machine]`` for a standalone machine, the nodes of an
+:class:`repro.core.cluster.SMACluster` sharing its banked memory — so a
+standalone machine simulates exactly as a one-node cluster, and
+:func:`run_nodes` is the one entry point for both.  Both loops call the
+same unit steps (one ``step``/``tick`` per unit).  ``"naive"`` is the
+jump-free reference loop: it ticks every cycle, samples every queue each
+cycle, delivers completions through
+:meth:`repro.memory.BankedMemory.tick` and serves every observer.  The
+default, ``"event-horizon"``, delivers completions inline, accounts
+queue occupancy lazily and, when every processor is stalled, jumps the
+clock to the next memory event — a load maturing or a busy bank freeing
+(:meth:`repro.memory.BankedMemory.next_event_time`), or the end of a
+speculation rollback penalty — replaying the skipped cycles' statistic
+increments in closed form.  The processors talk only through queues and
+the nodes only through the memory, so once all are stalled nothing but
+the memory (and the penalty clocks) can wake them.  An attached
+``observer`` forces naive ticking, so trace collectors see every cycle,
+and so does fault injection.
 
 The metrics layer (:meth:`SMAMachine.attach_metrics`) is *not* an
 observer: its per-cycle stall classifier and stride samplers replay in
@@ -43,7 +49,7 @@ ticking (property-tested in ``tests/test_metrics.py``).
 from __future__ import annotations
 
 import heapq
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -165,9 +171,286 @@ def speculation_horizon(horizon, specs):
 def resolutions(specs) -> int:
     """Predictions resolved so far (commits + rollbacks) over ``specs``.
     A resolution changes state without retiring an instruction, so the
-    event-horizon loops compare this across a template cycle before
+    event-horizon loop compares this across a template cycle before
     jumping."""
     return sum(s.stats.commits + s.stats.rollbacks for s in specs)
+
+
+# -- the simulation loops -----------------------------------------------
+#
+# Both loops step a list of :class:`SMAMachine` nodes against one clock
+# owner, which holds the shared clock (``owner.cycle``) and the memory
+# (``owner.banked``): the machine itself when it runs standalone, or an
+# SMACluster.  A node finishing is recorded in ``finish[i]`` at the end
+# of the cycle it finished in; finished nodes are not stepped again.  The
+# loop ends once every node finished and the memory has drained.
+#
+# Progress (for the deadlock watchdog and the jump confirmation) is one
+# sum of monotone counters: retired AP/EP instructions and memory reads
+# plus writes.  Every stream request and committed store is a memory
+# access, so the sum changes exactly when any of those counters does.
+
+
+def reference_cycle(owner, nodes, live, finish) -> None:
+    """One cycle of the reference loop: deliver due completions, then
+    each live node's :meth:`SMAMachine._reference_step` in an order that
+    rotates with the cycle number (so no node holds a standing priority
+    at the memory port)."""
+    now = owner.cycle
+    owner.banked.tick(now)
+    n = len(nodes)
+    for offset in range(n):
+        i = (now + offset) % n
+        if live[i]:
+            node = nodes[i]
+            node._reference_step(now)
+            if node.done():
+                live[i] = False
+                finish[i] = now + 1
+    owner.cycle = now + 1
+
+
+def naive_loop(owner, nodes, finish, max_cycles, deadlock_window,
+               observer=None) -> None:
+    """The jump-free reference loop: one :func:`reference_cycle` per
+    simulated cycle, then ``observer(owner, cycle)`` when one is given."""
+    comps = owner.banked._completions
+    mstats = owner.banked.stats
+    retired = [(node.ap.stats, node.ep.stats) for node in nodes]
+    live = [not node.done() for node in nodes]
+    last_progress = 0
+    p_total = -1
+    while comps or True in live:
+        now = owner.cycle
+        if now >= max_cycles:
+            raise CycleBudgetExceeded(f"exceeded cycle budget {max_cycles}")
+        reference_cycle(owner, nodes, live, finish)
+        if observer is not None:
+            observer(owner, now)
+        total = mstats.reads + mstats.writes
+        for ap_stats, ep_stats in retired:
+            total += ap_stats.instructions + ep_stats.instructions
+        if total != p_total:
+            p_total = total
+            last_progress = now + 1
+        elif now + 1 - last_progress > deadlock_window:
+            raise SimulationError(owner._deadlock_message(deadlock_window))
+
+
+def _node_steps(node, clock, finished):
+    """The event-horizon node step as a generator: each ``send(now)``
+    runs the node's unit steps for cycle ``now`` and yields the node's
+    AP + EP instruction count, its share of the progress probe.  The
+    node's state lives in generator locals (resuming a generator costs a
+    fraction of a closure call, which copies every free variable in),
+    and queue occupancy is accounted lazily against ``clock`` (the
+    node's :meth:`SMAMachine.lazy_occupancy` cell).  A step after which
+    the node is done (:meth:`SMAMachine.done`, spelled out over the same
+    identity-stable containers) appends the node to ``finished``."""
+    ap = node.ap
+    ep = node.ep
+    ap_stats = ap.stats
+    ep_stats = ep.stats
+    ap_step = ap.step
+    ep_step = ep.step
+    su_tick = node.store_unit.tick
+    engine_tick = node.engine.tick
+    saq_slots = node.queues.store_addr._slots
+    engine_streams = node.engine._streams
+    # only a node that owns its memory waits for it to drain
+    comps = node.banked._completions if node._owns_memory else ()
+    metrics = node._metrics
+    spec = node._spec
+    spec_stack = () if spec is None else spec.stack
+    now = yield
+    while True:
+        clock[0] = now
+        # each unit step begins with the same emptiness/halt check;
+        # doing it here skips the call entirely on quiet components
+        if saq_slots:
+            su_tick(now)
+        if engine_streams:
+            engine_tick(now)
+        if not ap.halted:
+            ap_step(now)
+        if not ep.halted:
+            ep_step(now)
+        if spec is not None:
+            spec.on_cycle(node, now)
+        if metrics is not None:
+            metrics.on_cycle(node, now)
+        node.cycle = now + 1
+        if (
+            ap.halted and ep.halted and not engine_streams
+            and not saq_slots and not comps and not spec_stack
+        ):
+            finished.append(node)
+        now = yield ap_stats.instructions + ep_stats.instructions
+
+
+def event_horizon_loop(owner, nodes, finish, max_cycles, deadlock_window,
+                       observer=None) -> None:
+    """The reference cycle with completions delivered inline, each node
+    stepped through :func:`_node_steps` under its own
+    :meth:`SMAMachine.lazy_occupancy` bracket (flushed at the node's own
+    finish cycle), and jumps to the memory's next event.
+
+    A jump is only *planned* when this cycle delivered no completion and
+    every processor ended its last step halted or blocked; it is only
+    *taken* after one live template cycle confirms that nothing moved —
+    the pre-step flags can be stale (e.g. an EP freed a queue after its
+    AP's stall was recorded) — and that it resolved no speculation frame
+    (a commit or rollback retires nothing).  The jump target is the next
+    event after the template: with every unit idle and nothing issued, no
+    state but the memory's and the rollback-penalty clocks' changes with
+    time (:func:`speculation_horizon`).  Every running node replays the
+    skipped span through :meth:`SMAMachine._replay_fast`; the memory needs
+    no replay, since a jointly idle cycle issues no access.  Deadlock and
+    cycle-budget diagnostics fire at the identical cycle as naive
+    ticking.  ``observer`` is never given (:func:`run_nodes` serves
+    observers on the naive loop).
+    """
+    banked = owner.banked
+    comps = banked._completions
+    mstats = banked.stats
+    pop = heapq.heappop
+    n = len(nodes)
+    specs = tuple(node._spec for node in nodes if node._spec is not None)
+    horizon = speculation_horizon(banked.next_event_time, specs)
+    # one (AP, EP) pair per node: each attribute site below then sees a
+    # single processor type, which keeps its lookup specialised
+    procs = [(node.ap, node.ep) for node in nodes]
+    running = [node for node in nodes if not node.done()]
+    # retired instructions of finished nodes (no longer stepped)
+    retired = sum(
+        node.ap.stats.instructions + node.ep.stats.instructions
+        for node in nodes if node not in running
+    )
+    finished = []
+    last_progress = 0
+    p_total = -1
+    with ExitStack() as brackets:
+        steps = {}
+        for node in nodes:
+            stepper = _node_steps(
+                node, brackets.enter_context(node.lazy_occupancy()),
+                finished,
+            )
+            next(stepper)  # run to the first yield
+            steps[node] = stepper.send
+
+        def rotations():
+            # the rotating service order of reference_cycle, per
+            # cycle % n, over the running nodes; a sole running node
+            # (every standalone machine) is stepped without the rotation
+            orders = [
+                [steps[node] for node in nodes[r:] + nodes[:r]
+                 if node in running]
+                for r in range(n)
+            ]
+            return orders, orders[0][0] if len(running) == 1 else None
+
+        orders, solo = rotations()
+        while running or comps:
+            now = owner.cycle
+            if now >= max_cycles:
+                raise CycleBudgetExceeded(
+                    f"exceeded cycle budget {max_cycles}"
+                )
+            delivered = False
+            while comps and comps[0][0] <= now:
+                _, _, callback, result = pop(comps)
+                mstats.completions += 1
+                callback(result)
+                delivered = True
+            snapshots = None
+            if not delivered:
+                # finished nodes have both processors halted
+                for ap, ep in procs:
+                    if not (
+                        (ap.halted or ap._stalled_on is not None)
+                        and (ep.halted or ep._stalled_on is not None)
+                    ):
+                        break
+                else:
+                    t = horizon(now)
+                    if t is None or t > now + 1:
+                        snapshots = [
+                            (node, node.stall_snapshot())
+                            for node in running
+                        ]
+                        resolved = resolutions(specs) if specs else 0
+            if solo is not None:
+                total = retired + solo(now)
+            else:
+                total = retired
+                for step in orders[now % n]:
+                    total += step(now)
+            owner.cycle = now = now + 1
+            if finished:
+                for node in finished:
+                    finish[nodes.index(node)] = now
+                    running.remove(node)
+                    retired += (
+                        node.ap.stats.instructions
+                        + node.ep.stats.instructions
+                    )
+                finished.clear()
+                orders, solo = rotations()
+            total += mstats.reads + mstats.writes
+            if total != p_total:
+                p_total = total
+                last_progress = now
+                continue
+            if snapshots is not None and (
+                not specs or resolutions(specs) == resolved
+            ):
+                target = horizon(now)
+                bound = last_progress + deadlock_window + 1
+                if target is None or target > bound:
+                    target = bound
+                if target > max_cycles:
+                    target = max_cycles
+                count = target - now
+                if count > 0:
+                    for node, snapshot in snapshots:
+                        if node in running:
+                            node._replay_fast(snapshot, count)
+                    owner.cycle = now = target
+            if now - last_progress > deadlock_window:
+                raise SimulationError(
+                    owner._deadlock_message(deadlock_window)
+                )
+
+
+def run_nodes(owner, nodes, finish, max_cycles, deadlock_window,
+              scheduler, observer=None) -> None:
+    """Run ``nodes`` against ``owner``'s clock and memory on the loop
+    ``scheduler`` names in :data:`SMAMachine.SCHEDULERS` — the one path
+    behind :meth:`SMAMachine.run` and
+    :meth:`repro.core.cluster.SMACluster.run`.
+
+    Fault injection and an observer downgrade to the naive loop:
+    event-horizon delivers completions inline (bypassing the dropping
+    ``FaultyMemory.tick``) and jumps over cycles in which the
+    deterministic fault predicate would have changed its verdict, and an
+    observer must see every cycle.  Speculation engines (and their
+    oracle pre-runs) are built first, as a node's first reference step
+    would."""
+    loops = SMAMachine.SCHEDULERS
+    if scheduler not in loops:
+        raise ValueError(
+            f"unknown scheduler {scheduler!r}; expected one of "
+            + ", ".join(loops)
+        )
+    if owner.banked.fault_injection or observer is not None:
+        scheduler = "naive"
+    for node in nodes:
+        if not node._spec_ready:
+            node._ensure_speculation()
+    loops[scheduler](
+        owner, nodes, finish, max_cycles, deadlock_window, observer
+    )
 
 
 class SMAMachine:
@@ -277,18 +560,19 @@ class SMAMachine:
             and (self._spec is None or self._spec.idle())
         )
 
-    def step_cycle(self, tick_memory: bool = True) -> None:
-        """Advance the machine by one cycle.
+    def step_cycle(self) -> None:
+        """Advance the machine by one reference cycle.  A cluster node
+        leaves the memory tick to its cluster, which owns the shared
+        memory and ticks it once per cycle for all nodes."""
+        if self._owns_memory:
+            self.banked.tick(self.cycle)
+        self._reference_step(self.cycle)
 
-        ``tick_memory=False`` is used by :class:`repro.core.cluster.
-        SMACluster`, which owns the shared memory and ticks it exactly
-        once per cycle for all member machines.
-        """
-        now = self.cycle
+    def _reference_step(self, now: int) -> None:
+        """The node's part of a reference cycle: every unit steps once,
+        then queue occupancies are sampled."""
         if not self._spec_ready:
             self._ensure_speculation()
-        if tick_memory:
-            self.banked.tick(now)
         self.store_unit.tick(now)
         self.engine.tick(now)
         self.ap.step(now)
@@ -304,7 +588,7 @@ class SMAMachine:
             self._occupancy_max = outstanding
         if self._metrics is not None:
             self._metrics.on_cycle(self, now)
-        self.cycle += 1
+        self.cycle = now + 1
 
     def _ensure_speculation(self, oracle: dict | None = None) -> None:
         """Build the speculation engine on first use (idempotent).
@@ -330,15 +614,17 @@ class SMAMachine:
     def step_cycles(self, count: int) -> int:
         """Advance up to ``count`` cycles, stopping early at completion;
         returns the number of cycles advanced.  Used for mid-run
-        checkpoints and the service's bounded slices.
+        checkpoints and the service's bounded slices, by machines and
+        clusters alike.
 
-        Runs the loop :meth:`run` would pick (fault injection still
+        Runs the loop ``run`` would pick (fault injection still
         downgrades to naive ticking) with the budget set to exactly
         ``cycle + count``: jumps are clamped to the budget and the lazy
-        occupancy bracket flushes on the way out, so the state reached is
-        bit-identical to ``count`` naive :meth:`step_cycle` calls.  The
-        deadlock watchdog is armed as in :meth:`run`, counting from the
-        first cycle of this call."""
+        occupancy brackets flush on the way out, so the state reached is
+        bit-identical to ``count`` naive ``step_cycle`` calls.  The
+        deadlock watchdog is armed as in ``run``, counting from the
+        first cycle of this call.  A budget stop leaves a running
+        cluster node without a finish cycle."""
         start = self.cycle
         try:
             self.run(max_cycles=start + count)
@@ -372,16 +658,6 @@ class SMAMachine:
 
         return digest(self.snapshot())
 
-    def progress_state(self) -> tuple[int, ...]:
-        """A tuple that changes iff the machine made forward progress
-        (used for deadlock detection, here and in the cluster)."""
-        return (
-            self.ap.stats.instructions,
-            self.ep.stats.instructions,
-            self.engine.stats.requests_issued,
-            self.store_unit.stats.stores_issued,
-        )
-
     def deadlock_report(self) -> str:
         return (
             f"AP@{self.ap.pc} halted={self.ap.halted} "
@@ -389,6 +665,13 @@ class SMAMachine:
             f"EP@{self.ep.pc} halted={self.ep.halted} "
             f"stalls={self.ep.stats.stall_cycles}; "
             f"live streams={self.engine.live_streams}"
+        )
+
+    def _deadlock_message(self, deadlock_window: int) -> str:
+        return (
+            "deadlock: no forward progress for "
+            f"{deadlock_window} cycles at cycle {self.cycle}; "
+            + self.deadlock_report()
         )
 
     def collect_result(self) -> SMAResult:
@@ -423,23 +706,17 @@ class SMAMachine:
 
     # -- scheduler registry ----------------------------------------------
     #
-    # Each entry maps a scheduler name to an unobserved loop adapter
-    # ``(machine, max_cycles, deadlock_window) -> SMAResult``.  The CLI
-    # (``--scheduler`` choices), the cluster and the benchmark shoot-out
-    # all iterate this mapping, so registering a scheduler here is the
-    # single step needed to surface it everywhere.
-
-    def _scheduler_naive(self, max_cycles, deadlock_window):
-        return self._run_naive(max_cycles, deadlock_window, None)
-
-    def _scheduler_event_horizon(self, max_cycles, deadlock_window):
-        return self._run_event_horizon(max_cycles, deadlock_window)
+    # Each entry maps a scheduler name to a loop ``(owner, nodes, finish,
+    # max_cycles, deadlock_window, observer)`` (see :func:`run_nodes`).
+    # The CLI (``--scheduler`` choices), the cluster and the benchmark
+    # shoot-out all iterate this mapping, so registering a scheduler here
+    # is the single step needed to surface it everywhere.
 
     #: accepted values for ``run(scheduler=...)``, in reference-first
     #: order (the first entry is the baseline the others must match)
     SCHEDULERS = {
-        "naive": _scheduler_naive,
-        "event-horizon": _scheduler_event_horizon,
+        "naive": naive_loop,
+        "event-horizon": event_horizon_loop,
     }
 
     def run(
@@ -462,72 +739,15 @@ class SMAMachine:
         ``"event-horizon"``  memory-event jumps over jointly stalled
                              spans, lazy occupancy accounting (default)
 
-        Fault injection downgrades event-horizon to naive; speculative
-        runs take either loop.  Cycle counts and every statistic are
-        bit-identical across both (``tests/test_fast_forward.py``,
-        ``tests/test_event_horizon.py`` and, under speculation,
-        ``tests/test_speculation.py``).
+        The machine runs as the single node of its own clock
+        (:func:`run_nodes`).  Fault injection downgrades event-horizon
+        to naive; speculative runs take either loop.  Cycle counts and
+        every statistic are bit-identical across both
+        (``tests/test_fast_forward.py``, ``tests/test_event_horizon.py``
+        and, under speculation, ``tests/test_speculation.py``).
         """
-        if scheduler not in self.SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {scheduler!r}; expected one of "
-                + ", ".join(self.SCHEDULERS)
-            )
-        if self.banked.fault_injection and scheduler != "naive":
-            # event-horizon delivers completions inline (bypassing the
-            # dropping FaultyMemory.tick) and jumps over cycles in which
-            # the deterministic fault predicate would have changed its
-            # verdict; only naive ticking exercises the faults faithfully
-            scheduler = "naive"
-        if observer is not None:
-            return self._run_naive(max_cycles, deadlock_window, observer)
-        return self.SCHEDULERS[scheduler](self, max_cycles, deadlock_window)
-
-    def _run_naive(
-        self, max_cycles: int, deadlock_window: int, observer
-    ) -> SMAResult:
-        """The reference loop: one :meth:`step_cycle` per simulated
-        cycle, then ``observer(machine, cycle)`` when one is attached.
-
-        The progress probe is kept as five plain integers — retired AP/EP
-        instructions, stream requests, committed stores, memory traffic —
-        compared in place, so the hot loop allocates nothing when the
-        machine is advancing normally.
-        """
-        step = self.step_cycle
-        done = self.done
-        ap_stats = self.ap.stats
-        ep_stats = self.ep.stats
-        engine_stats = self.engine.stats
-        su_stats = self.store_unit.stats
-        mstats = self.banked.stats
-        last_progress_cycle = 0
-        p_ap = p_ep = p_req = p_st = p_mem = -1
-        while not done():
-            if self.cycle >= max_cycles:
-                raise CycleBudgetExceeded(
-                    f"exceeded cycle budget {max_cycles}"
-                )
-            step()
-            if observer is not None:
-                observer(self, self.cycle - 1)
-            mem = mstats.reads + mstats.writes
-            ap_i = ap_stats.instructions
-            ep_i = ep_stats.instructions
-            req = engine_stats.requests_issued
-            st = su_stats.stores_issued
-            if (
-                ap_i != p_ap or ep_i != p_ep or req != p_req
-                or st != p_st or mem != p_mem
-            ):
-                p_ap, p_ep, p_req, p_st, p_mem = ap_i, ep_i, req, st, mem
-                last_progress_cycle = self.cycle
-            elif self.cycle - last_progress_cycle > deadlock_window:
-                raise SimulationError(
-                    "deadlock: no forward progress for "
-                    f"{deadlock_window} cycles at cycle {self.cycle}; "
-                    + self.deadlock_report()
-                )
+        run_nodes(self, [self], [None], max_cycles, deadlock_window,
+                  scheduler, observer)
         return self.collect_result()
 
     # -- event-horizon scheduling ----------------------------------------
@@ -562,157 +782,14 @@ class SMAMachine:
             if agg.max_seen > self._occupancy_max:
                 self._occupancy_max = agg.max_seen
 
-    def _run_event_horizon(
-        self, max_cycles: int, deadlock_window: int
-    ) -> SMAResult:
-        """The event-horizon simulation loop (see module docstring),
-        under lazy occupancy accounting (:meth:`lazy_occupancy`).  The
-        speculation engine (and its oracle pre-run) is built first, as
-        :meth:`step_cycle` would on the first cycle."""
-        if not self._spec_ready:
-            self._ensure_speculation()
-        with self.lazy_occupancy() as clock:
-            self._event_horizon_loop(max_cycles, deadlock_window, clock)
-        return self.collect_result()
-
-    def _event_horizon_loop(
-        self, max_cycles: int, deadlock_window: int, clock
-    ) -> None:
-        """One fused loop: inlined completion delivery, the unit steps
-        hoisted into locals, and jumps to the next memory event.
-
-        A jump is only *planned* when this cycle delivered no completion
-        and both processors ended their last step blocked; it is only
-        *taken* after one live template cycle confirms (via the plain-int
-        progress probe) that nothing moved — the pre-step flags can be
-        stale (e.g. the EP freed a queue after the AP's stall was
-        recorded), and that it resolved no speculation frame (a commit or
-        rollback retires nothing).  The jump target is the next event
-        after the template: with every unit idle and nothing issued, no
-        state but the memory's and the rollback-penalty clock's changes
-        with time (:func:`speculation_horizon`).  Replayed spans go through
-        :meth:`_replay_fast`; deadlock and cycle-budget diagnostics fire
-        at the identical cycle as naive ticking.
-        """
-        banked = self.banked
-        ap = self.ap
-        ep = self.ep
-        engine = self.engine
-        su = self.store_unit
-        metrics = self._metrics
-        comps = banked._completions
-        engine_streams = engine._streams
-        owns_memory = self._owns_memory
-        mstats = banked.stats
-        saq_slots = self.queues.store_addr._slots
-        ap_stats = ap.stats
-        ep_stats = ep.stats
-        engine_stats = engine.stats
-        su_stats = su.stats
-        pop = heapq.heappop
-        su_tick = su.tick
-        engine_tick = engine.tick
-        ap_step = ap.step
-        ep_step = ep.step
-        spec = self._spec
-        specs = () if spec is None else (spec,)
-        spec_stack = () if spec is None else spec.stack
-        horizon = speculation_horizon(banked.next_event_time, specs)
-        take_snapshot = self.stall_snapshot
-        last_progress_cycle = 0
-        p_ap = p_ep = p_req = p_st = p_mem = -1
-        # the loop condition is self.done() spelled out over the hoisted
-        # locals (identity-stable containers), saving six delegated
-        # calls per simulated cycle
-        while not (
-            ap.halted and ep.halted and not engine_streams
-            and not saq_slots and (not owns_memory or not comps)
-            and not spec_stack
-        ):
-            now = self.cycle
-            if now >= max_cycles:
-                raise CycleBudgetExceeded(
-                    f"exceeded cycle budget {max_cycles}"
-                )
-            clock[0] = now
-            delivered = False
-            while comps and comps[0][0] <= now:
-                _, _, callback, result = pop(comps)
-                mstats.completions += 1
-                callback(result)
-                delivered = True
-            snapshot = None
-            if (
-                not delivered
-                and (ap.halted or ap._stalled_on is not None)
-                and (ep.halted or ep._stalled_on is not None)
-            ):
-                t = horizon(now)
-                if t is None or t > now + 1:
-                    snapshot = take_snapshot()
-                    resolved = resolutions(specs) if specs else 0
-            # each unit step begins with the same emptiness/halt check;
-            # doing it here skips the call entirely on quiet components
-            if saq_slots:
-                su_tick(now)
-            if engine_streams:
-                engine_tick(now)
-            if not ap.halted:
-                ap_step(now)
-            if not ep.halted:
-                ep_step(now)
-            if spec is not None:
-                spec.on_cycle(self, now)
-            if metrics is not None:
-                metrics.on_cycle(self, now)
-            self.cycle = now + 1
-            mem = mstats.reads + mstats.writes
-            ap_i = ap_stats.instructions
-            ep_i = ep_stats.instructions
-            req = engine_stats.requests_issued
-            st = su_stats.stores_issued
-            if (
-                ap_i != p_ap or ep_i != p_ep or req != p_req
-                or st != p_st or mem != p_mem
-            ):
-                p_ap = ap_i
-                p_ep = ep_i
-                p_req = req
-                p_st = st
-                p_mem = mem
-                last_progress_cycle = self.cycle
-                continue
-            # a commit or rollback changes state without retiring
-            # anything: such a template is not idle
-            if snapshot is not None and (
-                not specs or resolutions(specs) == resolved
-            ):
-                target = horizon(self.cycle)
-                bound = last_progress_cycle + deadlock_window + 1
-                if target is None or target > bound:
-                    target = bound
-                if target > max_cycles:
-                    target = max_cycles
-                count = target - self.cycle
-                if count > 0:
-                    self._replay_fast(snapshot, count)
-            if self.cycle - last_progress_cycle > deadlock_window:
-                raise SimulationError(
-                    "deadlock: no forward progress for "
-                    f"{deadlock_window} cycles at cycle {self.cycle}; "
-                    + self.deadlock_report()
-                )
-
     # -- statistics replay of skipped cycles ---------------------------
     #
-    # The snapshot/replay methods below are the *replay contract*: any
-    # driver that steps this machine — its own loops, or an
-    # :class:`repro.core.cluster.SMACluster` that owns the shared memory
-    # tick — may snapshot before a candidate idle cycle and, once the
-    # cycle is confirmed fully idle, replay it ``count`` times in closed
-    # form (``_replay_fast``, under lazy occupancy accounting).  Neither
-    # touches the memory model, so a non-owning cluster node replays
-    # exactly like a standalone machine.
+    # The snapshot/replay methods below are the *replay contract* the
+    # event-horizon loop drives: snapshot before a candidate idle cycle
+    # and, once the cycle is confirmed fully idle, replay it ``count``
+    # times in closed form (``_replay_fast``, under lazy occupancy
+    # accounting).  Neither touches the memory model, so a non-owning
+    # cluster node replays exactly like a standalone machine.
 
     def stall_snapshot(self):
         """Snapshot of every counter a fully-idle cycle can increment,

@@ -3,13 +3,25 @@ interference accounting."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.config import MemoryConfig, SMAConfig
-from repro.core import SMACluster
+from repro.config import MemoryConfig, SMAConfig, SpeculationConfig
+from repro.core import SMACluster, SMAMachine
 from repro.errors import SimulationError
 from repro.isa import assemble
-from repro.kernels import get_kernel, run_reference
-from repro.harness.runner import run_cluster
+from repro.kernels import get_kernel, lower_sma, run_reference
+from repro.harness.runner import _fit_memory, _load_inputs, run_cluster
+
+#: (kernel, LOD variant) pairs for the one-node equivalence draws; the
+#: variants give the speculative AP predictions to make
+ONE_NODE_CASES = (
+    ("daxpy", None),
+    ("hydro", None),
+    ("matvec", None),
+    ("computed_gather", None),
+    ("pic_gather", "addr"),
+    ("tridiag", "branch"),
+)
 
 
 def _copy_node(src_base: int, dst_base: int, n: int):
@@ -82,11 +94,54 @@ class TestInterference:
         result = run_cluster(jobs)  # check=True verifies vs reference
         assert len(result.outputs) == 3
 
-    def test_single_node_cluster_matches_standalone(self):
-        jobs = [get_kernel("daxpy").instantiate(64)]
-        result = run_cluster(jobs)
-        assert result.node_cycles[0] == result.standalone_cycles[0]
-        assert result.interference_slowdowns[0] == 1.0
+    @settings(max_examples=30, deadline=None)
+    @given(
+        case=st.sampled_from(ONE_NODE_CASES),
+        latency=st.sampled_from((1, 4, 8, 32, 64)),
+        banks=st.sampled_from((1, 2, 8)),
+        ports=st.sampled_from((1, 2)),
+        streams=st.booleans(),
+        speculate=st.booleans(),
+        metrics=st.booleans(),
+        scheduler=st.sampled_from(list(SMAMachine.SCHEDULERS)),
+    )
+    def test_single_node_cluster_matches_standalone(
+        self, case, latency, banks, ports, streams, speculate, metrics,
+        scheduler,
+    ):
+        """A standalone machine is a one-node cluster: both run the same
+        loops, so every observable agrees, under either scheduler."""
+        name, variant = case
+        kernel, inputs = get_kernel(name).instantiate(24, seed=latency)
+        lowered = lower_sma(kernel, use_streams=streams,
+                            lod_variant=variant)
+        mem = MemoryConfig(latency=latency, bank_busy=max(1, latency // 2),
+                           num_banks=banks, accepts_per_cycle=ports)
+        cfg = SMAConfig(
+            memory=_fit_memory(mem, lowered.layout),
+            speculation=(SpeculationConfig(accuracy=0.5, max_depth=2)
+                         if speculate else None),
+        )
+        programs = (lowered.access_program, lowered.execute_program)
+        machine = SMAMachine(*programs, cfg)
+        _load_inputs(machine, lowered.layout, kernel, inputs)
+        cluster = SMACluster([programs], cfg)
+        _load_inputs(cluster, lowered.layout, kernel, inputs)
+        if metrics:
+            machine.attach_metrics()
+            cluster.attach_metrics()
+
+        alone = machine.run(scheduler=scheduler)
+        result = cluster.run(scheduler=scheduler)
+        node = result.nodes[0]
+        assert result.cycles == alone.cycles
+        assert result.finish_cycles == [alone.cycles]
+        assert node.to_dict() == alone.to_dict()
+        assert node.queue_stats == alone.queue_stats
+        assert node.stall_breakdown == alone.stall_breakdown
+        size = cfg.memory.size
+        assert (cluster.memory.dump_array(0, size).tobytes()
+                == machine.memory.dump_array(0, size).tobytes())
 
     def test_port_contention_slows_nodes(self):
         cfg = SMAConfig(

@@ -181,7 +181,7 @@ class TestScheduling:
         def refuse(*_args, **_kwargs):
             raise AssertionError("speculative run fell back to naive")
 
-        monkeypatch.setattr(SMAMachine, "_run_naive", refuse)
+        monkeypatch.setitem(SMAMachine.SCHEDULERS, "naive", refuse)
         got = machine.run(scheduler="event-horizon")
         assert got.to_dict() == want.to_dict()
 
@@ -205,7 +205,7 @@ class TestScheduling:
             if machine._spec and machine._spec.stats.depth_refusals > before:
                 refusal_spans.append(count)
 
-        monkeypatch.setattr(SMAMachine, "_run_naive", refuse)
+        monkeypatch.setitem(SMAMachine.SCHEDULERS, "naive", refuse)
         monkeypatch.setattr(SMAMachine, "_replay_fast", spy)
         golden = json.loads(
             (pathlib.Path(__file__).parent / "golden_experiments.json")

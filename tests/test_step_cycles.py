@@ -83,10 +83,9 @@ def _build_cluster(names=("daxpy", "hydro"), n=24, latency=32,
 
 def _naive_steps(sim, count):
     """The reference: ``count`` single naive cycles, stopping at done."""
-    step = sim._step_all if isinstance(sim, SMACluster) else sim.step_cycle
     stepped = 0
     while stepped < count and not sim.done():
-        step()
+        sim.step_cycle()
         stepped += 1
     return stepped
 
@@ -189,11 +188,11 @@ def test_cluster_step_cycles_stops_at_done():
 
 
 def _forbid(monkeypatch, loop):
+    """Make the shared ``loop`` (machines and clusters alike) raise."""
     def refuse(*_args, **_kwargs):
-        raise AssertionError(f"{loop} used")
+        raise AssertionError(f"{loop} loop used")
 
-    monkeypatch.setattr(SMAMachine, loop, refuse)
-    monkeypatch.setattr(SMACluster, loop, refuse)
+    monkeypatch.setitem(SMAMachine.SCHEDULERS, loop, refuse)
 
 
 FAULTS = FaultConfig(reject_prob=0.2, seed=3)
@@ -204,7 +203,7 @@ def test_naive_only_machine_configs_step_naive(config, monkeypatch):
     naive = _build(faults=FAULTS)
     _naive_steps(naive, 150)
     fast = _build(faults=FAULTS)
-    _forbid(monkeypatch, "_run_event_horizon")
+    _forbid(monkeypatch, "event-horizon")
     assert fast.step_cycles(150) == 150
     assert fast.state_digest() == naive.state_digest()
 
@@ -216,7 +215,7 @@ def test_speculative_step_cycles_stay_on_event_horizon(cut, monkeypatch):
     naive = _build(**kwargs)
     _naive_steps(naive, cut)
     fast = _build(**kwargs)
-    _forbid(monkeypatch, "_run_naive")
+    _forbid(monkeypatch, "naive")
     assert fast.step_cycles(cut) == cut
     # a snapshot is refused mid-speculation; compare what it covers
     assert fast.cycle == naive.cycle
@@ -230,7 +229,7 @@ def test_speculative_step_cycles_stay_on_event_horizon(cut, monkeypatch):
 def test_faulty_cluster_steps_naive(monkeypatch):
     naive = _build_cluster(faults=FAULTS)
     _naive_steps(naive, 150)
-    _forbid(monkeypatch, "_run_event_horizon")
+    _forbid(monkeypatch, "event-horizon")
     fast = _build_cluster(faults=FAULTS)
     assert fast.step_cycles(150) == 150
     assert fast.state_digest() == naive.state_digest()

@@ -47,16 +47,32 @@ checked on the 18 speculative R-T7/R-F9 jobs and on random draws:
 * the SMA cycle lower bounds above still hold;
 * the outputs are word-exact against the non-speculative run: wrong-path
   work changes timing, never values.
+
+The uncached scalar baseline gets an exact oracle rather than bounds.
+The machine is strictly serial — one instruction at a time, a load
+blocking for the full latency, at most one access per cycle — so its
+bank-conflict waits are a function of the address trace alone.
+:func:`scalar_oracle` walks a functional run of the scalar program,
+letting each access wait ``max(0, bank_free - t)``, and predicts
+``cycles == instructions + loads * latency + bank_conflict_waits``
+with no simulator in the loop: on every scalar row of
+``golden_cycles.json`` and on random kernel x memory draws.
 """
 
 import json
 import pathlib
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import MemoryConfig, SMAConfig, SpeculationConfig
+from repro.config import (
+    MemoryConfig,
+    ScalarConfig,
+    SMAConfig,
+    SpeculationConfig,
+)
 from repro.core import SMAMachine
 from repro.harness.experiments import (
     SPEC_ACCURACIES,
@@ -66,8 +82,10 @@ from repro.harness.experiments import (
     _spec_sma,
 )
 from repro.harness.jobs import Job
-from repro.harness.runner import _fit_memory, _load_inputs
-from repro.kernels import get_kernel, kernel_names, lower_sma
+from repro.harness.runner import _fit_memory, _load_inputs, run_on_scalar
+from repro.isa import ALU_FUNCS, ALU_OPS, Op, Reg
+from repro.isa.operands import NUM_REGS
+from repro.kernels import get_kernel, kernel_names, lower_scalar, lower_sma
 
 GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "golden_cycles.json").read_text()
@@ -274,3 +292,110 @@ def test_speculation_laws_on_random_draws(
         ),
     )
     _assert_speculation_laws(name, variant, 24, 11, config)
+
+
+# ---------------------------------------------------------------------------
+# exact oracle for the uncached scalar baseline
+# ---------------------------------------------------------------------------
+
+
+def scalar_oracle(program, words, memory: MemoryConfig) -> dict[str, int]:
+    """Time a functional run of the scalar ``program`` over the memory
+    image ``words`` (mutated): each instruction issues in one cycle, an
+    access first waits for its bank (``addr % num_banks``) to free, and
+    a load then blocks for ``latency`` cycles."""
+    regs = [0.0] * NUM_REGS
+    bank_free = [0] * memory.num_banks
+    t = pc = instructions = loads = waits = 0
+
+    def read(operand):
+        return regs[operand.index] if isinstance(operand, Reg) \
+            else operand.value
+
+    def access(base, offset) -> int:
+        nonlocal t, waits
+        addr = int(read(base) + read(offset))
+        wait = max(0, bank_free[addr % memory.num_banks] - t)
+        waits += wait
+        t += wait
+        bank_free[addr % memory.num_banks] = t + memory.bank_busy
+        return addr
+
+    while True:
+        instr = program[pc]
+        op, srcs = instr.op, instr.srcs
+        pc += 1
+        if op in ALU_OPS:
+            regs[instr.dest.index] = ALU_FUNCS[op](*map(read, srcs))
+        elif op is Op.LOAD:
+            regs[instr.dest.index] = float(words[access(*srcs)])
+            loads += 1
+            t += memory.latency
+        elif op is Op.STORE:
+            words[access(srcs[1], srcs[2])] = read(srcs[0])
+        elif op is Op.JMP or (
+            op in (Op.BEQZ, Op.BNEZ)
+            and (read(srcs[0]) == 0) == (op is Op.BEQZ)
+        ):
+            pc = instr.branch_target()
+        elif op is Op.DECBNZ:
+            regs[instr.dest.index] -= 1
+            if regs[instr.dest.index] != 0:
+                pc = instr.branch_target()
+        t += 1
+        instructions += 1
+        if op is Op.HALT:
+            return {"cycles": t, "instructions": instructions,
+                    "loads": loads, "bank_conflict_waits": waits}
+
+
+def _scalar_prediction(name, n, seed, memory=MemoryConfig()):
+    kernel, inputs = get_kernel(name).instantiate(n, seed=seed)
+    lowered = lower_scalar(kernel)
+    words = np.zeros(_fit_memory(memory, lowered.layout).size)
+    for base, values in lowered.program.data:
+        words[base:base + len(values)] = values
+    for decl in kernel.arrays:
+        base = lowered.layout.base(decl.name)
+        words[base:base + decl.size] = inputs[decl.name]
+    predicted = scalar_oracle(lowered.program, words, memory)
+    assert predicted["cycles"] == (
+        predicted["instructions"] + predicted["loads"] * memory.latency
+        + predicted["bank_conflict_waits"]
+    )
+    return kernel, inputs, predicted
+
+
+def test_scalar_oracle_golden_daxpy_example():
+    # 868 issue cycles + 192 blocking loads x latency 8, no conflicts
+    _, _, predicted = _scalar_prediction("daxpy", GOLDEN["n"], GOLDEN["seed"])
+    assert predicted == {"cycles": 2404, "instructions": 868,
+                         "loads": 192, "bank_conflict_waits": 0}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN["cycles"]))
+def test_scalar_oracle_predicts_golden_rows(name):
+    _, _, predicted = _scalar_prediction(name, GOLDEN["n"], GOLDEN["seed"])
+    assert predicted["cycles"] == GOLDEN["cycles"][name]["scalar"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(kernel_names()),
+    st.sampled_from((16, 24)),            # problem size
+    st.integers(1, 32),                   # latency
+    st.integers(1, 12),                   # bank busy
+    st.sampled_from((1, 2, 3, 8)),        # banks
+    st.integers(0, 2**31),                # input seed
+)
+def test_scalar_oracle_predicts_random_configs(
+    name, n, latency, bank_busy, banks, seed
+):
+    memory = MemoryConfig(latency=latency, bank_busy=bank_busy,
+                          num_banks=banks)
+    kernel, inputs, predicted = _scalar_prediction(name, n, seed, memory)
+    result = run_on_scalar(
+        kernel, inputs, ScalarConfig(memory=memory)
+    ).result
+    assert {key: getattr(result, key) for key in predicted} == predicted
+
